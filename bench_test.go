@@ -23,12 +23,15 @@ import (
 	"testing"
 
 	"minup/internal/baseline"
+	"minup/internal/catalog"
 	"minup/internal/constraint"
 	"minup/internal/core"
 	"minup/internal/frontend/depinf"
 	"minup/internal/frontend/suppress"
 	"minup/internal/lattice"
+	"minup/internal/obs"
 	"minup/internal/poset"
+	"minup/internal/wal"
 	"minup/internal/workload"
 )
 
@@ -516,13 +519,13 @@ func BenchmarkCatalogServe(b *testing.B) {
 	if _, err := set.WriteTo(&text); err != nil {
 		b.Fatal(err)
 	}
-	cat, err := OpenCatalog(CatalogOptions{})
+	cat, err := catalog.Open(catalog.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
 	// A waited Put leaves the cache warm deterministically.
-	if _, err := cat.Put(ctx, "bench", "chain mil\nlevels U C S TS\n", text.String(), PolicyUnconditional, PolicyMutateOptions{Wait: true}); err != nil {
+	if _, err := cat.Put(ctx, "bench", "chain mil\nlevels U C S TS\n", text.String(), catalog.Unconditional, catalog.MutateOptions{Wait: true}); err != nil {
 		b.Fatal(err)
 	}
 	if _, err := cat.Solve(ctx, "bench"); err != nil {
@@ -557,9 +560,9 @@ func BenchmarkCatalogMutateParallel(b *testing.B) {
 	)
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cat, err := OpenCatalog(CatalogOptions{
+			cat, err := catalog.Open(catalog.Options{
 				Dir:           b.TempDir(),
-				Sync:          WALSyncNever,
+				Sync:          wal.SyncNever,
 				Shards:        shards,
 				SnapshotEvery: -1,
 			})
@@ -578,18 +581,18 @@ func BenchmarkCatalogMutateParallel(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				name := fmt.Sprintf("w%03d", ids.Add(1))
-				if _, err := cat.Put(ctx, name, benchLat, benchCons, PolicyUnconditional); err != nil {
+				if _, err := cat.Put(ctx, name, benchLat, benchCons, catalog.Unconditional); err != nil {
 					b.Fatal(err)
 				}
 				for i := 0; pb.Next(); i++ {
 					if i%32 == 31 {
-						if _, err := cat.Put(ctx, name, benchLat, benchCons, PolicyUnconditional); err != nil {
+						if _, err := cat.Put(ctx, name, benchLat, benchCons, catalog.Unconditional); err != nil {
 							b.Fatal(err)
 						}
 						continue
 					}
 					line := fmt.Sprintf("x%02d >= C\n", i%32)
-					if _, err := cat.Append(ctx, name, line, PolicyUnconditional); err != nil {
+					if _, err := cat.Append(ctx, name, line, catalog.Unconditional); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -664,7 +667,7 @@ func BenchmarkSolveCompiledStats(b *testing.B) {
 	compiled := Compile(set)
 	reg := NewMetricsRegistry()
 	opt := Options{
-		Sink:              NewCountingSink(reg, "bench.events"),
+		Sink:              obs.NewCountingSink(reg, "bench.events"),
 		CollectLatticeOps: true,
 		Metrics:           reg,
 	}

@@ -30,6 +30,9 @@ import (
 	"syscall"
 
 	"minup"
+	"minup/internal/frontend"
+	_ "minup/internal/frontend/depinf"   // registers the "depinf" problem family
+	_ "minup/internal/frontend/suppress" // registers the "suppress" problem family
 )
 
 func main() {
@@ -46,8 +49,8 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, name := range minup.ProblemFamilies() {
-			fe, ok := minup.LookupProblemFrontend(name)
+		for _, name := range frontend.Families() {
+			fe, ok := frontend.Lookup(name)
 			if !ok {
 				continue
 			}
@@ -59,12 +62,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	fe, ok := minup.LookupProblemFrontend(*family)
+	fe, ok := frontend.Lookup(*family)
 	if !ok {
 		fatal(fmt.Errorf("unknown family %q (minfront -list shows the registered ones)", *family))
 	}
 
-	var inst minup.ProblemInstance
+	var inst frontend.Instance
 	switch {
 	case *gen:
 		var err error
@@ -94,7 +97,7 @@ func main() {
 	if *gen && *in == "" && !*emit && !*stats && !*solve && !*check {
 		// Pure generation: print the instance JSON and stop, so
 		// `minfront -family f -gen > f.json` composes with -in.
-		raw, err := minup.MarshalProblemInstance(inst)
+		raw, err := frontend.Marshal(inst)
 		if err != nil {
 			fatal(err)
 		}

@@ -7,7 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"minup"
+	"minup/internal/obs"
 )
 
 // Admission control for the solve-serving routes: a bounded-concurrency
@@ -38,14 +38,14 @@ type gate struct {
 	queued    atomic.Int64
 	wait      time.Duration
 	draining  *atomic.Bool
-	reg       *minup.MetricsRegistry
+	reg       *obs.Registry
 }
 
 // newGate sizes the admission gate. maxInflight is clamped to at least 1;
 // maxQueue may be 0 (no waiting — excess load sheds instantly). The shed
 // counter and queue gauge are registered eagerly so a scrape sees them
 // before the first overload.
-func newGate(maxInflight, maxQueue int, wait time.Duration, draining *atomic.Bool, reg *minup.MetricsRegistry) *gate {
+func newGate(maxInflight, maxQueue int, wait time.Duration, draining *atomic.Bool, reg *obs.Registry) *gate {
 	if maxInflight < 1 {
 		maxInflight = 1
 	}
@@ -64,23 +64,22 @@ func newGate(maxInflight, maxQueue int, wait time.Duration, draining *atomic.Boo
 	}
 }
 
-// acquire admits the request or sheds it. On admission it returns a
-// release function the caller must invoke exactly once (defer it). On shed
-// it returns one of the errShed* reasons after bumping the http.shed
-// counter; a nil release with a context error means the client went away
-// while queued.
-func (g *gate) acquire(ctx context.Context) (release func(), err error) {
+// acquire admits the request or sheds it. On admission it returns nil and
+// the caller must invoke release exactly once (defer it). On shed it
+// returns one of the errShed* reasons after bumping the http.shed counter;
+// a context error means the client went away while queued.
+func (g *gate) acquire(ctx context.Context) error {
 	if g.draining.Load() {
-		return nil, g.shed(errShedDraining)
+		return g.shed(errShedDraining)
 	}
 	select {
 	case g.sem <- struct{}{}:
-		return g.release, nil
+		return nil
 	default:
 	}
 	if g.queued.Add(1) > g.maxQueue {
 		g.queued.Add(-1)
-		return nil, g.shed(errShedQueueFull)
+		return g.shed(errShedQueueFull)
 	}
 	g.reg.Gauge("http.queue_depth").Set(g.queued.Load())
 	waitStart := time.Now()
@@ -97,11 +96,11 @@ func (g *gate) acquire(ctx context.Context) (release func(), err error) {
 	defer t.Stop()
 	select {
 	case g.sem <- struct{}{}:
-		return g.release, nil
+		return nil
 	case <-t.C:
-		return nil, g.shed(errShedWait)
+		return g.shed(errShedWait)
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 }
 
@@ -130,6 +129,41 @@ func (g *gate) inflight() int { return len(g.sem) }
 func (g *gate) capacity() int { return cap(g.sem) }
 
 func (g *gate) queueDepth() int64 { return g.queued.Load() }
+
+// admission is one admitted request's hold on the gate plus its solve
+// deadline. It is a plain value so admitting a request allocates nothing
+// beyond the deadline context itself.
+type admission struct {
+	gate   *gate
+	cancel context.CancelFunc
+	// budget is the request's solve budget (see solveBudget); the degraded
+	// baseline reuses it on a fresh clock.
+	budget time.Duration
+}
+
+// release frees the slot and the deadline timer.
+func (a admission) release() {
+	a.cancel()
+	a.gate.release()
+}
+
+// admit passes a solve-serving request through the admission gate and arms
+// its solve deadline. On success the caller must defer adm.release() and
+// run its solver work under ctx. Otherwise the request has already been
+// answered: 408 when the client went away while queued, 503 when shed.
+func (s *server) admit(w http.ResponseWriter, r *http.Request) (ctx context.Context, adm admission, ok bool) {
+	if err := s.gate.acquire(r.Context()); err != nil {
+		if r.Context().Err() != nil {
+			http.Error(w, "client gone while queued", http.StatusRequestTimeout)
+		} else {
+			writeShed(w, r, err)
+		}
+		return nil, admission{}, false
+	}
+	budget := s.solveBudget(r)
+	ctx, cancel := context.WithTimeout(r.Context(), budget)
+	return ctx, admission{gate: s.gate, cancel: cancel, budget: budget}, true
+}
 
 // writeShed answers a shed request: 503 with Retry-After so well-behaved
 // clients back off instead of hammering an overloaded server. The shed

@@ -12,16 +12,18 @@ import (
 	"testing"
 	"time"
 
-	"minup"
+	"minup/internal/catalog"
+	"minup/internal/cluster"
+	"minup/internal/obs"
 )
 
 // clusterTestNode is one in-process minupd with a replication node behind
 // it, serving real HTTP via httptest so redirects carry resolvable URLs.
 type clusterTestNode struct {
 	id   int
-	cat  *minup.PolicyCatalog
-	node *minup.ClusterNode
-	reg  *minup.MetricsRegistry
+	cat  *catalog.Catalog
+	node *cluster.Node
+	reg  *obs.Registry
 	srv  *server
 	hs   *httptest.Server
 }
@@ -51,9 +53,9 @@ func newClusterServers(t *testing.T, n int) []*clusterTestNode {
 
 	nodes := make([]*clusterTestNode, n)
 	for i := range nodes {
-		tn := &clusterTestNode{id: i, reg: minup.NewMetricsRegistry()}
-		ring := minup.NewClusterRecordLog(0)
-		cat, err := minup.OpenCatalog(minup.CatalogOptions{
+		tn := &clusterTestNode{id: i, reg: obs.NewRegistry()}
+		ring := cluster.NewRecordLog(0)
+		cat, err := catalog.Open(catalog.Options{
 			Metrics:  tn.reg,
 			Shards:   2,
 			OnRecord: ring.Append,
@@ -70,7 +72,7 @@ func newClusterServers(t *testing.T, n int) []*clusterTestNode {
 		tn.hs = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			(*h.Load()).ServeHTTP(w, r)
 		}))
-		node, err := minup.OpenClusterNode(minup.ClusterOptions{
+		node, err := cluster.Open(cluster.Options{
 			ID:       i,
 			Addr:     addrs[i],
 			Peers:    peers,
@@ -201,7 +203,7 @@ func TestClusterHTTPWriteFlow(t *testing.T) {
 	}
 
 	// GET /cluster reflects both roles and a converged fingerprint.
-	var ls, fs minup.ClusterStatus
+	var ls, fs cluster.Status
 	getJSON(t, leader.hs.URL+"/cluster", &ls)
 	getJSON(t, follower.hs.URL+"/cluster", &fs)
 	if ls.Role != "leader" || fs.Role != "follower" {
@@ -261,14 +263,14 @@ func TestClusterHTTPNoLeader(t *testing.T) {
 	for _, ln := range lns {
 		ln.Close()
 	}
-	reg := minup.NewMetricsRegistry()
-	ring := minup.NewClusterRecordLog(0)
-	cat, err := minup.OpenCatalog(minup.CatalogOptions{Metrics: reg, Shards: 2, OnRecord: ring.Append})
+	reg := obs.NewRegistry()
+	ring := cluster.NewRecordLog(0)
+	cat, err := catalog.Open(catalog.Options{Metrics: reg, Shards: 2, OnRecord: ring.Append})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cat.Close() })
-	node, err := minup.OpenClusterNode(minup.ClusterOptions{
+	node, err := cluster.Open(cluster.Options{
 		ID: 0, Addr: addrs[0],
 		Peers:    map[int]string{0: addrs[0], 1: addrs[1], 2: addrs[2]},
 		HTTPAddr: "http://unadvertised.test",
@@ -305,7 +307,7 @@ func TestClusterHTTPNoLeader(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /cluster = %d", rec.Code)
 	}
-	var st minup.ClusterStatus
+	var st cluster.Status
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}

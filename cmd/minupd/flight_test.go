@@ -10,12 +10,12 @@ import (
 	"testing"
 	"time"
 
-	"minup"
+	"minup/internal/obs"
 )
 
 // debugRequestsJSON fetches the flight recorder's JSON view the way the
 // debug listener serves it.
-func debugRequestsJSON(t *testing.T, f *minup.FlightRecorder) (minup.FlightSnapshot, []minup.SLOStatus) {
+func debugRequestsJSON(t *testing.T, f *obs.FlightRecorder) (obs.FlightSnapshot, []obs.SLOStatus) {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	f.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/requests?format=json", nil))
@@ -23,8 +23,8 @@ func debugRequestsJSON(t *testing.T, f *minup.FlightRecorder) (minup.FlightSnaps
 		t.Fatalf("GET /debug/requests = %d", rec.Code)
 	}
 	var view struct {
-		minup.FlightSnapshot
-		SLO []minup.SLOStatus `json:"slo"`
+		obs.FlightSnapshot
+		SLO []obs.SLOStatus `json:"slo"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &view); err != nil {
 		t.Fatalf("/debug/requests JSON: %v", err)
@@ -40,7 +40,7 @@ func debugRequestsJSON(t *testing.T, f *minup.FlightRecorder) (minup.FlightSnaps
 func TestDegradedSolveFlightRecordAndSLOBurn(t *testing.T) {
 	cfg := slowCfg(t, 30*time.Millisecond, 10*time.Millisecond)
 	dumpDir := t.TempDir()
-	cfg.flight = minup.NewFlightRecorder(minup.FlightOptions{DumpDir: dumpDir, SLO: cfg.slo})
+	cfg.flight = obs.NewFlightRecorder(obs.FlightOptions{DumpDir: dumpDir, SLO: cfg.slo})
 	srv, h, logBuf := newTestServerCfg(t, cfg)
 
 	rec := get(t, h, "/solve")
@@ -72,8 +72,8 @@ func TestDegradedSolveFlightRecordAndSLOBurn(t *testing.T) {
 		t.Fatalf("anomaly dump missing: %v", err)
 	}
 	var dump struct {
-		TraceEvents []json.RawMessage  `json:"traceEvents"`
-		Record      minup.FlightRecord `json:"record"`
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+		Record      obs.FlightRecord  `json:"record"`
 	}
 	if err := json.Unmarshal(data, &dump); err != nil {
 		t.Fatalf("dump is not valid JSON: %v", err)
@@ -89,7 +89,7 @@ func TestDegradedSolveFlightRecordAndSLOBurn(t *testing.T) {
 
 	// (3) The availability burn moved: the degraded answer burns budget even
 	// though the client saw a 200.
-	var solveSLO *minup.SLOStatus
+	var solveSLO *obs.SLOStatus
 	for i := range slo {
 		if slo[i].Route == "solve" {
 			solveSLO = &slo[i]
@@ -132,7 +132,7 @@ func TestShedRequestRecordedNotDumped(t *testing.T) {
 	cfg.maxInflight = 1
 	cfg.maxQueue = 0 // no waiting: the second concurrent request sheds
 	dumpDir := t.TempDir()
-	cfg.flight = minup.NewFlightRecorder(minup.FlightOptions{DumpDir: dumpDir, SLO: cfg.slo})
+	cfg.flight = obs.NewFlightRecorder(obs.FlightOptions{DumpDir: dumpDir, SLO: cfg.slo})
 	srv, h, logBuf := newTestServerCfg(t, cfg)
 
 	// Hold the only slot so the next request sheds instantly.
@@ -167,7 +167,7 @@ func TestShedRequestRecordedNotDumped(t *testing.T) {
 // with the policy identity and a terminal outcome.
 func TestRefreshRecordsInFlightRing(t *testing.T) {
 	cfg := defaultConfig()
-	flight := minup.NewFlightRecorder(minup.FlightOptions{})
+	flight := obs.NewFlightRecorder(obs.FlightOptions{})
 	cfg.flight = flight
 	_, h, _ := newTestServerCfg(t, cfg)
 
@@ -182,7 +182,7 @@ func TestRefreshRecordsInFlightRing(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		snap := flight.Snapshot()
-		var refresh *minup.FlightRecord
+		var refresh *obs.FlightRecord
 		for i := range snap.Recent {
 			if snap.Recent[i].Kind == "refresh" {
 				refresh = &snap.Recent[i]

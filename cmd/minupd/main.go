@@ -145,7 +145,7 @@
 // (active flights, SLO burn rates, per-route latency, recent anomalies
 // with their dump files; HTML or ?format=json) alongside the standard
 // runtime surface: /debug/vars (expvar, including the registry published
-// as "minup") and /debug/pprof/* for CPU and heap profiles — see the
+// under the key minup) and /debug/pprof/* for CPU and heap profiles — see the
 // "profiling a solve" recipe in EXPERIMENTS.md. Bind it to localhost (the
 // default) in production-like settings. On SIGTERM the server flips
 // /readyz to not-ready, then drains both listeners: in-flight requests
@@ -172,7 +172,15 @@ import (
 	"syscall"
 	"time"
 
-	"minup"
+	"minup/internal/baseline"
+	"minup/internal/catalog"
+	"minup/internal/cluster"
+	"minup/internal/constraint"
+	"minup/internal/core"
+	"minup/internal/fault"
+	"minup/internal/lattice"
+	"minup/internal/obs"
+	"minup/internal/wal"
 )
 
 // config carries the serving-policy knobs from flags to newServer, so
@@ -183,28 +191,31 @@ type config struct {
 	queueWait    time.Duration
 	solveTimeout time.Duration
 	degrade      bool
-	fault        *minup.FaultInjector
+	fault        *fault.Injector
 	// flight and slo are the always-on observability layer: the flight
 	// recorder behind /debug/requests and the per-route burn-rate tracker.
 	// Either may be nil (single-handler unit tests), which just disables
 	// that layer.
-	flight *minup.FlightRecorder
-	slo    *minup.SLOTracker
+	flight *obs.FlightRecorder
+	slo    *obs.SLOTracker
 	// cluster is the replication wiring (-cluster-* flags): nil node when
 	// minupd runs standalone.
 	cluster clusterConfig
 }
+
+// expvarKey is the /debug/vars key the metrics registry is published under.
+const expvarKey = `minup`
 
 // defaultSLOSpec is the -slo default: both solve-serving routes get a p99
 // latency target and three nines of availability.
 const defaultSLOSpec = "solve:p99=250ms,avail=99.9;policy.solve:p99=250ms,avail=99.9"
 
 func defaultConfig() config {
-	slo, err := minup.ParseSLOSpecs(defaultSLOSpec)
+	slo, err := obs.ParseSLOSpecs(defaultSLOSpec)
 	if err != nil {
 		panic("minupd: default SLO spec does not parse: " + err.Error())
 	}
-	tracker := minup.NewSLOTracker(slo...)
+	tracker := obs.NewSLOTracker(slo...)
 	return config{
 		maxInflight:  64,
 		maxQueue:     128,
@@ -212,7 +223,7 @@ func defaultConfig() config {
 		solveTimeout: 2 * time.Second,
 		degrade:      true,
 		slo:          tracker,
-		flight:       minup.NewFlightRecorder(minup.FlightOptions{SLO: tracker}),
+		flight:       obs.NewFlightRecorder(obs.FlightOptions{SLO: tracker}),
 		cluster:      clusterConfig{maxReplicaLag: 1024},
 	}
 }
@@ -257,19 +268,19 @@ func main() {
 
 	// The static instance behind /solve and /trace is optional; without it
 	// minupd is a pure policy-catalog server.
-	var set *minup.ConstraintSet
-	var compiled *minup.CompiledSet
+	var set *constraint.Set
+	var compiled *constraint.Compiled
 	if *latticePath != "" {
 		lf, err := os.Open(*latticePath)
 		if err != nil {
 			fatal(err)
 		}
-		lat, err := minup.ParseLattice(lf)
+		lat, err := lattice.Parse(lf)
 		lf.Close()
 		if err != nil {
 			fatal(err)
 		}
-		set = minup.NewConstraintSet(lat)
+		set = constraint.NewSet(lat)
 		cf, err := os.Open(*consPath)
 		if err != nil {
 			fatal(err)
@@ -279,8 +290,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		compiled = minup.Compile(set)
-		if err := minup.CheckSolvable(set); err != nil {
+		compiled = set.Compile()
+		if err := core.CheckSolvable(set); err != nil {
 			fatal(fmt.Errorf("instance is unsolvable: %w", err))
 		}
 	}
@@ -293,7 +304,7 @@ func main() {
 	}
 	if *faultSpec != "" {
 		var err error
-		cfg.fault, err = minup.ParseFaultSpec(*faultSpec, *faultSeed)
+		cfg.fault, err = fault.ParseSpec(*faultSpec, *faultSeed)
 		if err != nil {
 			fatal(err)
 		}
@@ -301,18 +312,18 @@ func main() {
 	} else if *faultAdmin {
 		// An installed-but-unarmed injector costs one atomic load per fault
 		// point, so -fault-admin can keep it resident for later rearming.
-		cfg.fault = minup.NewFaultInjector(*faultSeed)
+		cfg.fault = fault.New(*faultSeed)
 	}
 	if *faultAdmin {
 		http.Handle("/debug/fault", faultAdminHandler(cfg.fault))
 		fmt.Fprintf(os.Stderr, "minupd: CHAOS fault admin enabled on the debug listener (/debug/fault)\n")
 	}
 	if *sloSpec != "" {
-		specs, err := minup.ParseSLOSpecs(*sloSpec)
+		specs, err := obs.ParseSLOSpecs(*sloSpec)
 		if err != nil {
 			fatal(err)
 		}
-		cfg.slo = minup.NewSLOTracker(specs...)
+		cfg.slo = obs.NewSLOTracker(specs...)
 	}
 	dumpDir := *flightDumpDir
 	if dumpDir == "auto" {
@@ -322,33 +333,33 @@ func main() {
 			dumpDir = filepath.Join("artifacts", "anomalies")
 		}
 	}
-	cfg.flight = minup.NewFlightRecorder(minup.FlightOptions{
+	cfg.flight = obs.NewFlightRecorder(obs.FlightOptions{
 		Size:          *flightSize,
 		DumpDir:       dumpDir,
 		DumpCapBytes:  *flightDumpCap,
 		SlowThreshold: *flightSlow,
 		SLO:           cfg.slo,
 	})
-	reg := minup.NewMetricsRegistry()
-	reg.Publish("minup")
+	reg := obs.NewRegistry()
+	reg.Publish(expvarKey)
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	// /debug/requests lives on the loopback debug listener next to
 	// /debug/vars and /debug/pprof: live + recent requests, per-route
 	// latency, anomalies with their dump files, SLO burn rates.
 	http.Handle("/debug/requests", cfg.flight)
-	collector := minup.NewRuntimeCollector(reg, cfg.slo, *sloInterval)
+	collector := obs.NewCollector(reg, cfg.slo, *sloInterval)
 	collector.Start()
 
-	var walSync minup.WALSyncPolicy
+	var walSync wal.SyncPolicy
 	switch *fsyncPolicy {
 	case "always":
-		walSync = minup.WALSyncAlways
+		walSync = wal.SyncAlways
 	case "never":
-		walSync = minup.WALSyncNever
+		walSync = wal.SyncNever
 	default:
 		fatal(fmt.Errorf("unknown -fsync policy %q (want always or never)", *fsyncPolicy))
 	}
-	catOpts := minup.CatalogOptions{
+	catOpts := catalog.Options{
 		Dir:     *dataDir,
 		Sync:    walSync,
 		Metrics: reg,
@@ -359,12 +370,12 @@ func main() {
 	}
 	// Cluster mode: the record ring must observe every durable append, so
 	// it is wired in before the catalog opens.
-	var ring *minup.ClusterRecordLog
+	var ring *cluster.RecordLog
 	if cf.enabled() {
-		ring = minup.NewClusterRecordLog(0)
+		ring = cluster.NewRecordLog(0)
 		catOpts.OnRecord = ring.Append
 	}
-	cat, err := minup.OpenCatalog(catOpts)
+	cat, err := catalog.Open(catOpts)
 	if err != nil {
 		fatal(err)
 	}
@@ -506,10 +517,10 @@ func main() {
 type server struct {
 	// set and compiled are the optional static instance behind /solve and
 	// /trace; both nil when minupd runs as a pure policy-catalog server.
-	set      *minup.ConstraintSet
-	compiled *minup.CompiledSet
-	cat      *minup.PolicyCatalog
-	reg      *minup.MetricsRegistry
+	set      *constraint.Set
+	compiled *constraint.Compiled
+	cat      *catalog.Catalog
+	reg      *obs.Registry
 	cfg      config
 	gate     *gate
 	draining atomic.Bool
@@ -523,7 +534,7 @@ type server struct {
 
 // newServer wires a server the way main does, so tests share the exact
 // production admission/degradation path.
-func newServer(set *minup.ConstraintSet, compiled *minup.CompiledSet, cat *minup.PolicyCatalog, reg *minup.MetricsRegistry, cfg config) *server {
+func newServer(set *constraint.Set, compiled *constraint.Compiled, cat *catalog.Catalog, reg *obs.Registry, cfg config) *server {
 	s := &server{set: set, compiled: compiled, cat: cat, reg: reg, cfg: cfg, start: time.Now()}
 	s.gate = newGate(cfg.maxInflight, cfg.maxQueue, cfg.queueWait, &s.draining, reg)
 	s.lastMinimalUpgraded.Store(-1)
@@ -647,27 +658,21 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no static instance configured (start minupd with -lattice/-constraints, or use /policies)", http.StatusNotFound)
 		return
 	}
-	release, err := s.gate.acquire(r.Context())
-	if err != nil {
-		if r.Context().Err() != nil {
-			http.Error(w, "client gone while queued", http.StatusRequestTimeout)
-			return
-		}
-		writeShed(w, r, err)
+	ctx, adm, ok := s.admit(w, r)
+	if !ok {
 		return
 	}
-	defer release()
-	budget := s.solveBudget(r)
+	defer adm.release()
 
 	// Soft overload: the queue behind us is filling. Serve the secure
 	// baseline immediately instead of burning a full solve budget.
 	if s.cfg.degrade && s.gate.overloaded() {
-		s.serveDegraded(w, r, "overload", budget)
+		s.serveDegraded(w, r, "overload", adm.budget)
 		return
 	}
 
 	ri := infoFrom(r.Context())
-	opt := minup.Options{
+	opt := core.Options{
 		Metrics:           s.reg,
 		CollectLatticeOps: r.URL.Query().Get("lattice_ops") == "1",
 		Fault:             s.cfg.fault,
@@ -678,15 +683,13 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		// and discarded otherwise.
 		opt.Sink = ri.flight.CaptureSink()
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), budget)
-	defer cancel()
-	var root *minup.Span
+	var root *obs.Span
 	var traceID string
 	if r.URL.Query().Get("trace") == "1" {
-		tr := minup.NewTracer()
+		tr := obs.NewTracer()
 		root = tr.Start("request")
 		traceID = tr.TraceID()
-		ctx = minup.ContextWithSpan(ctx, root)
+		ctx = obs.ContextWithSpan(ctx, root)
 		if ri != nil {
 			ri.traceID = traceID
 			if ri.flight != nil {
@@ -694,12 +697,12 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	res, err := minup.SolveContext(ctx, s.compiled, opt)
+	res, err := core.SolveContext(ctx, s.compiled, opt)
 	if root != nil {
 		root.End()
 	}
 	if err != nil {
-		s.solveError(w, r, err, budget)
+		s.solveError(w, r, err, s.cfg.degrade, adm.budget)
 		return
 	}
 	lat := s.set.Lattice()
@@ -714,14 +717,14 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if ri != nil {
 		ri.stats = flightStatsOf(res.Stats)
 	}
-	s.lastMinimalUpgraded.Store(int64(minup.CountUpgraded(s.set, res.Assignment)))
-	writeJSON(w, out)
+	s.lastMinimalUpgraded.Store(int64(baseline.CountUpgraded(s.set, res.Assignment)))
+	writeJSON(w, http.StatusOK, out)
 }
 
 // flightStatsOf compresses the solver stats block into the flight record's
 // compact shape.
-func flightStatsOf(st minup.SolveStats) minup.FlightStats {
-	return minup.FlightStats{
+func flightStatsOf(st core.Stats) obs.FlightStats {
+	return obs.FlightStats{
 		Tries:       st.Tries,
 		FailedTries: st.FailedTries,
 		Collapses:   st.Collapses,
@@ -730,40 +733,49 @@ func flightStatsOf(st minup.SolveStats) minup.FlightStats {
 	}
 }
 
-// solveError maps a failed minimal solve to a response. A deadline miss
-// degrades to the baseline when enabled; everything else maps to a typed
-// status.
-func (s *server) solveError(w http.ResponseWriter, r *http.Request, err error, budget time.Duration) {
-	markErr := func() {
-		if ri := infoFrom(r.Context()); ri != nil {
-			ri.errText = err.Error()
-		}
+// solveError answers a failed static-instance solve (/solve, /trace). With
+// degrade set, a deadline miss serves the baseline instead, unless the
+// client already went away (nobody is reading a degraded answer); every
+// other failure goes through writeSolveError.
+func (s *server) solveError(w http.ResponseWriter, r *http.Request, err error, degrade bool, budget time.Duration) {
+	clientGone := r.Context().Err() != nil
+	if degrade && !clientGone && solveTimedOut(err) {
+		s.serveDegraded(w, r, "deadline", budget)
+		return
 	}
-	switch {
-	case errors.Is(err, minup.ErrCanceled) || errors.Is(err, context.DeadlineExceeded):
-		if r.Context().Err() != nil {
-			// The client went away; nobody is reading a degraded answer.
-			http.Error(w, err.Error(), http.StatusRequestTimeout)
-			return
-		}
-		if s.cfg.degrade {
-			s.serveDegraded(w, r, "deadline", budget)
-			return
-		}
-		markErr()
-		http.Error(w, err.Error(), http.StatusGatewayTimeout)
-	case errors.Is(err, minup.ErrUnsolvable):
-		markErr()
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-	case errors.Is(err, minup.ErrInternal):
-		// The stack is in the log (the solver logs it at recovery); the
-		// client gets an opaque 500.
-		markErr()
-		http.Error(w, "internal solver error", http.StatusInternalServerError)
-	default:
-		markErr()
+	if ri := infoFrom(r.Context()); ri != nil && !clientGone {
+		ri.errText = err.Error()
+	}
+	if !writeSolveError(w, r, err) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
+}
+
+// writeSolveError is minupd's one mapping of solver failures to statuses,
+// shared by the static and catalog routes: 408 when the client went away,
+// 504 when the solve budget expired, 422 for an unsolvable instance, and an
+// opaque 500 for a recovered solver panic (the solver logs the stack at
+// recovery; it never reaches the body). It writes nothing and reports false
+// for any other error.
+func writeSolveError(w http.ResponseWriter, r *http.Request, err error) bool {
+	switch {
+	case solveTimedOut(err) && r.Context().Err() != nil:
+		http.Error(w, err.Error(), http.StatusRequestTimeout)
+	case solveTimedOut(err):
+		http.Error(w, err.Error(), http.StatusGatewayTimeout)
+	case errors.Is(err, core.ErrUnsolvable):
+		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+	case errors.Is(err, core.ErrInternal):
+		http.Error(w, "internal solver error", http.StatusInternalServerError)
+	default:
+		return false
+	}
+	return true
+}
+
+// solveTimedOut reports a solve stopped by its deadline or cancellation.
+func solveTimedOut(err error) bool {
+	return errors.Is(err, core.ErrCanceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // serveDegraded answers with the Qian-baseline least fixpoint: satisfying
@@ -774,14 +786,14 @@ func (s *server) serveDegraded(w http.ResponseWriter, r *http.Request, reason st
 	start := time.Now()
 	qctx, cancel := context.WithTimeout(context.WithoutCancel(r.Context()), budget)
 	defer cancel()
-	m, err := minup.QianBaseline(qctx, s.set)
+	m, err := baseline.QianContext(qctx, s.set)
 	if err != nil {
 		// No minimal answer and no baseline either — shed honestly.
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "degraded solve failed: "+err.Error(), http.StatusServiceUnavailable)
 		return
 	}
-	if err := minup.Verify(s.set, m); err != nil {
+	if err := core.Verify(s.set, m); err != nil {
 		// Defense in depth: never serve an unverified fallback.
 		http.Error(w, "degraded solve produced an invalid assignment: "+err.Error(), http.StatusInternalServerError)
 		return
@@ -797,7 +809,7 @@ func (s *server) serveDegraded(w http.ResponseWriter, r *http.Request, reason st
 		Assignment:    make(map[string]string, len(m)),
 		Degraded:      true,
 		DegradeReason: reason,
-		UpgradedAttrs: minup.CountUpgraded(s.set, m),
+		UpgradedAttrs: baseline.CountUpgraded(s.set, m),
 	}
 	for _, a := range s.set.Attrs() {
 		out.Assignment[s.set.AttrName(a)] = lat.FormatLevel(m[a])
@@ -808,11 +820,14 @@ func (s *server) serveDegraded(w http.ResponseWriter, r *http.Request, reason st
 		s.reg.Gauge("solve.degraded.upgrade_delta").Set(int64(delta))
 	}
 	out.Stats.DurationUS = time.Since(start).Microseconds()
-	writeJSON(w, out)
+	writeJSON(w, http.StatusOK, out)
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// writeJSON answers with v as indented JSON under the given status: the
+// one response encoder of every JSON route.
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
@@ -824,8 +839,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// counts solver sessions discarded by the recovery guard. SLO burn
 	// gauges are republished here too, so a scrape never reads values a
 	// full collector interval old.
-	s.reg.Gauge("solve.pool.sessions").Set(minup.SessionsAllocated())
-	s.reg.Gauge("solve.panics_recovered").Set(minup.PanicsRecovered())
+	s.reg.Gauge("solve.pool.sessions").Set(core.SessionsAllocated())
+	s.reg.Gauge("solve.panics_recovered").Set(core.PanicsRecovered())
 	s.reg.Gauge("process.uptime_seconds").Set(int64(time.Since(s.start).Seconds()))
 	s.cfg.slo.Publish(s.reg)
 	if r.URL.Query().Get("format") == "prometheus" {
@@ -840,8 +855,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // traceResponse is the JSON answer of /trace: one fully instrumented solve
 // and its reconstructed span tree.
 type traceResponse struct {
-	TraceID string         `json:"trace_id"`
-	Spans   minup.SpanNode `json:"spans"`
+	TraceID string       `json:"trace_id"`
+	Spans   obs.SpanNode `json:"spans"`
 }
 
 func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -849,51 +864,34 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no static instance configured (start minupd with -lattice/-constraints, or use /policies)", http.StatusNotFound)
 		return
 	}
-	release, err := s.gate.acquire(r.Context())
-	if err != nil {
-		if r.Context().Err() != nil {
-			http.Error(w, "client gone while queued", http.StatusRequestTimeout)
-			return
-		}
-		writeShed(w, r, err)
+	ctx, adm, ok := s.admit(w, r)
+	if !ok {
 		return
 	}
-	defer release()
-	tr := minup.NewTracer()
+	defer adm.release()
+	tr := obs.NewTracer()
 	root := tr.Start("request")
 	if ri := infoFrom(r.Context()); ri != nil {
 		ri.traceID = tr.TraceID()
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.solveBudget(r))
-	defer cancel()
-	ctx = minup.ContextWithSpan(ctx, root)
-	_, err = minup.SolveContext(ctx, s.compiled, minup.Options{Metrics: s.reg, Fault: s.cfg.fault})
+	ctx = obs.ContextWithSpan(ctx, root)
+	_, err := core.SolveContext(ctx, s.compiled, core.Options{Metrics: s.reg, Fault: s.cfg.fault})
 	root.End()
 	if err != nil {
-		if ri := infoFrom(r.Context()); ri != nil {
-			ri.errText = err.Error()
-		}
-		status := http.StatusInternalServerError
-		if errors.Is(err, minup.ErrCanceled) {
-			status = http.StatusGatewayTimeout
-		} else if errors.Is(err, minup.ErrUnsolvable) {
-			status = http.StatusUnprocessableEntity
-		}
-		http.Error(w, err.Error(), status)
+		// /trace asks for the minimal solve's span tree, so it never
+		// degrades to the baseline.
+		s.solveError(w, r, err, false, 0)
 		return
 	}
 	switch r.URL.Query().Get("format") {
 	case "chrome":
 		w.Header().Set("Content-Type", "application/json")
-		minup.WriteChromeTrace(w, root)
+		obs.WriteChromeTrace(w, root)
 	case "flame":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		minup.WriteFlameSummary(w, root)
+		obs.WriteFlameSummary(w, root)
 	default:
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(traceResponse{TraceID: tr.TraceID(), Spans: root.Node(root.StartTime())})
+		writeJSON(w, http.StatusOK, traceResponse{TraceID: tr.TraceID(), Spans: root.Node(root.StartTime())})
 	}
 }
 

@@ -8,8 +8,9 @@ import (
 	"strings"
 	"testing"
 
-	"minup"
+	"minup/internal/catalog"
 	"minup/internal/constraint"
+	"minup/internal/obs"
 )
 
 // newTestServer builds a server over the Figure 2(a) fixture with the full
@@ -24,8 +25,8 @@ func newTestServer(t *testing.T) (*server, http.Handler, *strings.Builder) {
 func newTestServerCfg(t *testing.T, cfg config) (*server, http.Handler, *strings.Builder) {
 	t.Helper()
 	f := constraint.NewFigure2()
-	reg := minup.NewMetricsRegistry()
-	cat, err := minup.OpenCatalog(minup.CatalogOptions{Metrics: reg, Flight: cfg.flight})
+	reg := obs.NewRegistry()
+	cat, err := catalog.Open(catalog.Options{Metrics: reg, Flight: cfg.flight})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestMetricsEndpointJSON(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("Content-Type = %q", ct)
 	}
-	var snap minup.MetricsSnapshot
+	var snap obs.Snapshot
 	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -27,7 +26,8 @@ import (
 	"strconv"
 	"strings"
 
-	"minup"
+	"minup/internal/catalog"
+	"minup/internal/core"
 )
 
 // maxPolicyBody bounds PUT/POST request bodies; policy source texts are
@@ -45,7 +45,7 @@ type policyRequest struct {
 // cache state plus its version rendered as the ETag a conditional writer
 // would send back.
 type policyIndexEntry struct {
-	minup.PolicyInfo
+	catalog.PolicyInfo
 	ETag string `json:"etag"`
 }
 
@@ -61,7 +61,7 @@ type policyListResponse struct {
 // repair's work counts, ?wait=1 only), left for a shard worker
 // (refresh_pending: true), or left cold for the next solve to fill.
 type policyAppendResponse struct {
-	minup.PolicyInfo
+	catalog.PolicyInfo
 	Repaired         bool `json:"repaired"`
 	RepairViolated   int  `json:"repair_violated,omitempty"`
 	RepairRecomputed int  `json:"repair_recomputed,omitempty"`
@@ -83,12 +83,12 @@ func etag(version uint64) string { return `"` + strconv.FormatUint(version, 10) 
 
 // mutateOptionsFrom reads the ?wait=1 query knob: wait forces the solver
 // refresh to run inline on this request instead of a shard worker.
-func mutateOptionsFrom(r *http.Request) minup.PolicyMutateOptions {
+func mutateOptionsFrom(r *http.Request) catalog.MutateOptions {
 	switch r.URL.Query().Get("wait") {
 	case "1", "true":
-		return minup.PolicyMutateOptions{Wait: true}
+		return catalog.MutateOptions{Wait: true}
 	}
-	return minup.PolicyMutateOptions{}
+	return catalog.MutateOptions{}
 }
 
 // preconditionFrom maps the request's conditional headers to a catalog
@@ -100,11 +100,11 @@ func preconditionFrom(r *http.Request) (int64, error) {
 		if inm != "*" {
 			return 0, fmt.Errorf("If-None-Match only supports *, got %q", inm)
 		}
-		return minup.PolicyMustNotExist, nil
+		return catalog.MustNotExist, nil
 	}
 	im := strings.TrimSpace(r.Header.Get("If-Match"))
 	if im == "" || im == "*" {
-		return minup.PolicyUnconditional, nil
+		return catalog.Unconditional, nil
 	}
 	v, err := strconv.ParseUint(strings.Trim(im, `"`), 10, 63)
 	if err != nil || v == 0 {
@@ -126,39 +126,89 @@ func decodePolicyBody(w http.ResponseWriter, r *http.Request, dst *policyRequest
 }
 
 // policyError maps a catalog error to its status: 404 unknown name, 409
-// create-only conflict, 412 lost version race, 422 unsolvable, 500 storage
-// or solver failure, 503 catalog closed (shutdown), 504 budget expiry, and
-// 400 for everything else (bad names, unparseable source text).
+// create-only conflict, 412 lost version race, 500 storage failure, 503
+// catalog closed (shutdown), solver failures as writeSolveError maps them,
+// and 400 for everything else (bad names, unparseable source text).
 func (s *server) policyError(w http.ResponseWriter, r *http.Request, err error) {
 	if ri := infoFrom(r.Context()); ri != nil {
 		ri.errText = err.Error()
 	}
 	switch {
-	case errors.Is(err, minup.ErrPolicyNotFound):
+	case errors.Is(err, catalog.ErrNotFound):
 		http.Error(w, err.Error(), http.StatusNotFound)
-	case errors.Is(err, minup.ErrPolicyExists):
+	case errors.Is(err, catalog.ErrExists):
 		http.Error(w, err.Error(), http.StatusConflict)
-	case errors.Is(err, minup.ErrPolicyVersionMismatch):
+	case errors.Is(err, catalog.ErrVersionMismatch):
 		http.Error(w, err.Error(), http.StatusPreconditionFailed)
-	case errors.Is(err, minup.ErrUnsolvable):
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-	case errors.Is(err, minup.ErrPolicyStorage):
+	case errors.Is(err, catalog.ErrStorage):
 		http.Error(w, err.Error(), http.StatusInternalServerError)
-	case errors.Is(err, minup.ErrPolicyClosed):
+	case errors.Is(err, catalog.ErrClosed):
 		// The catalog only closes during shutdown; tell the client to go
 		// elsewhere rather than blaming the request.
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	case errors.Is(err, minup.ErrInternal):
-		http.Error(w, "internal solver error", http.StatusInternalServerError)
-	case errors.Is(err, minup.ErrCanceled), errors.Is(err, context.DeadlineExceeded):
-		if r.Context().Err() != nil {
-			http.Error(w, err.Error(), http.StatusRequestTimeout)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusGatewayTimeout)
 	default:
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		if !writeSolveError(w, r, err) {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+		}
 	}
+}
+
+// writeGate fences a mutation: the cluster write gate, then the request's
+// version precondition. It returns false once it has answered the request
+// itself (307/503 from the cluster gate, 400 for a malformed precondition).
+func (s *server) writeGate(w http.ResponseWriter, r *http.Request) (ifVersion int64, ok bool) {
+	if !s.clusterWriteGate(w, r) {
+		return 0, false
+	}
+	ifVersion, err := preconditionFrom(r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return 0, false
+	}
+	return ifVersion, true
+}
+
+// storePolicy is the store sequence shared by PUT /policies/{name} and
+// POST /problems/{family} once the handler has passed writeGate and
+// decoded its body: ?wait=1 admission (an inline refresh compiles and
+// solves, so it takes a gate slot and the solve budget), the catalog Put
+// with its cluster sequence number, the majority barrier, and the ETag. It
+// returns the stored version and its status (201 for a new policy, 200 for
+// a replacement), or ok=false once it has answered the request itself.
+func (s *server) storePolicy(w http.ResponseWriter, r *http.Request, name, latticeText, constraintText string, ifVersion int64) (info catalog.PolicyInfo, status int, ok bool) {
+	opts := mutateOptionsFrom(r)
+	ctx := r.Context()
+	if opts.Wait {
+		var adm admission
+		if ctx, adm, ok = s.admit(w, r); !ok {
+			return info, 0, false
+		}
+		defer adm.release()
+	}
+	ri := infoFrom(r.Context())
+	if ri != nil {
+		ri.policy = name
+	}
+	var seq uint64
+	if s.cfg.cluster.node != nil {
+		opts.SeqOut = &seq
+	}
+	info, err := s.cat.Put(ctx, name, latticeText, constraintText, ifVersion, opts)
+	if err != nil {
+		s.policyError(w, r, err)
+		return info, 0, false
+	}
+	if ri != nil {
+		ri.shard = info.Shard
+	}
+	if !s.clusterBarrier(r.Context(), w, r, info.Shard, seq) {
+		return info, 0, false
+	}
+	w.Header().Set("ETag", etag(info.Version))
+	if info.Version == 1 {
+		return info, http.StatusCreated, true
+	}
+	return info, http.StatusOK, true
 }
 
 func (s *server) handlePolicyList(w http.ResponseWriter, _ *http.Request) {
@@ -167,7 +217,7 @@ func (s *server) handlePolicyList(w http.ResponseWriter, _ *http.Request) {
 	for i, info := range infos {
 		entries[i] = policyIndexEntry{PolicyInfo: info, ETag: etag(info.Version)}
 	}
-	writeJSON(w, policyListResponse{Count: len(entries), Policies: entries})
+	writeJSON(w, http.StatusOK, policyListResponse{Count: len(entries), Policies: entries})
 }
 
 func (s *server) handlePolicyGet(w http.ResponseWriter, r *http.Request) {
@@ -177,16 +227,12 @@ func (s *server) handlePolicyGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("ETag", etag(info.Version))
-	writeJSON(w, info)
+	writeJSON(w, http.StatusOK, info)
 }
 
 func (s *server) handlePolicyPut(w http.ResponseWriter, r *http.Request) {
-	if !s.clusterWriteGate(w, r) {
-		return
-	}
-	ifVersion, err := preconditionFrom(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	ifVersion, ok := s.writeGate(w, r)
+	if !ok {
 		return
 	}
 	var req policyRequest
@@ -197,61 +243,19 @@ func (s *server) handlePolicyPut(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `body must carry both "lattice" and "constraints" text`, http.StatusBadRequest)
 		return
 	}
-	opts := mutateOptionsFrom(r)
-	ctx := r.Context()
-	if opts.Wait {
-		// ?wait=1 compiles and solves inline, so it passes the same
-		// admission gate and solve budget as /solve and appends.
-		release, err := s.gate.acquire(ctx)
-		if err != nil {
-			if ctx.Err() != nil {
-				http.Error(w, "client gone while queued", http.StatusRequestTimeout)
-				return
-			}
-			writeShed(w, r, err)
-			return
-		}
-		defer release()
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.solveBudget(r))
-		defer cancel()
-	}
-	if ri := infoFrom(r.Context()); ri != nil {
-		ri.policy = r.PathValue("name")
-	}
-	var seq uint64
-	if s.cfg.cluster.node != nil {
-		opts.SeqOut = &seq
-	}
-	info, err := s.cat.Put(ctx, r.PathValue("name"), req.Lattice, req.Constraints, ifVersion, opts)
-	if err != nil {
-		s.policyError(w, r, err)
+	info, status, ok := s.storePolicy(w, r, r.PathValue("name"), req.Lattice, req.Constraints, ifVersion)
+	if !ok {
 		return
 	}
-	if ri := infoFrom(r.Context()); ri != nil {
-		ri.shard = info.Shard
-	}
-	if !s.clusterBarrier(r.Context(), w, r, info.Shard, seq) {
-		return
-	}
-	w.Header().Set("ETag", etag(info.Version))
-	status := http.StatusOK
-	if info.Version == 1 {
-		status = http.StatusCreated
-	}
-	writeJSONStatus(w, status, info)
+	writeJSON(w, status, info)
 }
 
 func (s *server) handlePolicyDelete(w http.ResponseWriter, r *http.Request) {
-	if !s.clusterWriteGate(w, r) {
+	ifVersion, ok := s.writeGate(w, r)
+	if !ok {
 		return
 	}
-	ifVersion, err := preconditionFrom(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	var opts minup.PolicyMutateOptions
+	var opts catalog.MutateOptions
 	var seq uint64
 	if s.cfg.cluster.node != nil {
 		opts.SeqOut = &seq
@@ -272,12 +276,8 @@ func (s *server) handlePolicyDelete(w http.ResponseWriter, r *http.Request) {
 // inline repair — so they pass the same admission gate and solve budget as
 // /solve.
 func (s *server) handlePolicyAppend(w http.ResponseWriter, r *http.Request) {
-	if !s.clusterWriteGate(w, r) {
-		return
-	}
-	ifVersion, err := preconditionFrom(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	ifVersion, ok := s.writeGate(w, r)
+	if !ok {
 		return
 	}
 	var req policyRequest
@@ -288,18 +288,11 @@ func (s *server) handlePolicyAppend(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `body must carry "constraints" text`, http.StatusBadRequest)
 		return
 	}
-	release, err := s.gate.acquire(r.Context())
-	if err != nil {
-		if r.Context().Err() != nil {
-			http.Error(w, "client gone while queued", http.StatusRequestTimeout)
-			return
-		}
-		writeShed(w, r, err)
+	ctx, adm, ok := s.admit(w, r)
+	if !ok {
 		return
 	}
-	defer release()
-	ctx, cancel := context.WithTimeout(r.Context(), s.solveBudget(r))
-	defer cancel()
+	defer adm.release()
 	if ri := infoFrom(r.Context()); ri != nil {
 		ri.policy = r.PathValue("name")
 	}
@@ -320,7 +313,7 @@ func (s *server) handlePolicyAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("ETag", etag(res.Info.Version))
-	writeJSON(w, policyAppendResponse{
+	writeJSON(w, http.StatusOK, policyAppendResponse{
 		PolicyInfo:       res.Info,
 		Repaired:         res.Repaired,
 		RepairViolated:   res.Repair.ViolatedConstraints,
@@ -334,18 +327,11 @@ func (s *server) handlePolicyAppend(w http.ResponseWriter, r *http.Request) {
 // catalog's memoized cache; only a cache miss (the first solve of a
 // version) compiles and solves, under the admission gate's budget.
 func (s *server) handlePolicySolve(w http.ResponseWriter, r *http.Request) {
-	release, err := s.gate.acquire(r.Context())
-	if err != nil {
-		if r.Context().Err() != nil {
-			http.Error(w, "client gone while queued", http.StatusRequestTimeout)
-			return
-		}
-		writeShed(w, r, err)
+	ctx, adm, ok := s.admit(w, r)
+	if !ok {
 		return
 	}
-	defer release()
-	ctx, cancel := context.WithTimeout(r.Context(), s.solveBudget(r))
-	defer cancel()
+	defer adm.release()
 	ri := infoFrom(r.Context())
 	if ri != nil {
 		ri.policy = r.PathValue("name")
@@ -361,7 +347,7 @@ func (s *server) handlePolicySolve(w http.ResponseWriter, r *http.Request) {
 		ri.stats = flightStatsOf(res.Stats)
 	}
 	w.Header().Set("ETag", etag(res.Info.Version))
-	writeJSON(w, policySolveResponse{
+	writeJSON(w, http.StatusOK, policySolveResponse{
 		Name:       res.Info.Name,
 		Version:    res.Info.Version,
 		CacheHit:   res.CacheHit,
@@ -370,18 +356,9 @@ func (s *server) handlePolicySolve(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// writeJSONStatus is writeJSON with an explicit status code.
-func writeJSONStatus(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
 // newSolveStats maps the solver's stats block to its JSON shape, shared by
 // /solve and /policies/{name}/solve.
-func newSolveStats(st minup.SolveStats) solveStats {
+func newSolveStats(st core.Stats) solveStats {
 	return solveStats{
 		Tries:          st.Tries,
 		FailedTries:    st.FailedTries,

@@ -9,12 +9,14 @@
 package main
 
 import (
-	"context"
 	"io"
 	"net/http"
 	"strings"
 
-	"minup"
+	"minup/internal/catalog"
+	"minup/internal/frontend"
+	_ "minup/internal/frontend/depinf"   // registers the "depinf" problem family
+	_ "minup/internal/frontend/suppress" // registers the "suppress" problem family
 )
 
 // problemFamilyEntry is one row of GET /problems.
@@ -32,7 +34,7 @@ type problemListResponse struct {
 // problemResponse reports a stored compiled problem: the catalog row it
 // became plus the compiled constraint shape.
 type problemResponse struct {
-	minup.PolicyInfo
+	catalog.PolicyInfo
 	Family      string `json:"family"`
 	Instance    string `json:"instance"`
 	Attrs       int    `json:"attrs"`
@@ -40,32 +42,28 @@ type problemResponse struct {
 }
 
 func (s *server) handleProblemList(w http.ResponseWriter, _ *http.Request) {
-	families := minup.ProblemFamilies()
+	families := frontend.Families()
 	entries := make([]problemFamilyEntry, 0, len(families))
 	for _, name := range families {
-		fe, ok := minup.LookupProblemFrontend(name)
+		fe, ok := frontend.Lookup(name)
 		if !ok {
 			continue
 		}
 		entries = append(entries, problemFamilyEntry{Family: name, Describe: fe.Describe()})
 	}
-	writeJSON(w, problemListResponse{Count: len(entries), Families: entries})
+	writeJSON(w, http.StatusOK, problemListResponse{Count: len(entries), Families: entries})
 }
 
 func (s *server) handleProblemCreate(w http.ResponseWriter, r *http.Request) {
 	family := r.PathValue("family")
-	fe, ok := minup.LookupProblemFrontend(family)
+	fe, ok := frontend.Lookup(family)
 	if !ok {
-		http.Error(w, "unknown problem family "+family+" (have "+strings.Join(minup.ProblemFamilies(), ", ")+")",
+		http.Error(w, "unknown problem family "+family+" (have "+strings.Join(frontend.Families(), ", ")+")",
 			http.StatusNotFound)
 		return
 	}
-	if !s.clusterWriteGate(w, r) {
-		return
-	}
-	ifVersion, err := preconditionFrom(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	ifVersion, ok := s.writeGate(w, r)
+	if !ok {
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPolicyBody))
@@ -87,50 +85,12 @@ func (s *server) handleProblemCreate(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("name"); q != "" {
 		name = q
 	}
-	opts := mutateOptionsFrom(r)
-	ctx := r.Context()
-	if opts.Wait {
-		// ?wait=1 solves inline, so it passes the same admission gate and
-		// solve budget as /solve and policy mutations.
-		release, err := s.gate.acquire(ctx)
-		if err != nil {
-			if ctx.Err() != nil {
-				http.Error(w, "client gone while queued", http.StatusRequestTimeout)
-				return
-			}
-			writeShed(w, r, err)
-			return
-		}
-		defer release()
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.solveBudget(r))
-		defer cancel()
-	}
-	if ri := infoFrom(r.Context()); ri != nil {
-		ri.policy = name
-	}
-	var seq uint64
-	if s.cfg.cluster.node != nil {
-		opts.SeqOut = &seq
-	}
-	info, err := s.cat.Put(ctx, name, c.LatticeText, c.ConstraintText, ifVersion, opts)
-	if err != nil {
-		s.policyError(w, r, err)
-		return
-	}
-	if ri := infoFrom(r.Context()); ri != nil {
-		ri.shard = info.Shard
-	}
-	if !s.clusterBarrier(r.Context(), w, r, info.Shard, seq) {
+	info, status, ok := s.storePolicy(w, r, name, c.LatticeText, c.ConstraintText, ifVersion)
+	if !ok {
 		return
 	}
 	s.reg.Counter("problems." + family + ".created").Inc()
-	w.Header().Set("ETag", etag(info.Version))
-	status := http.StatusOK
-	if info.Version == 1 {
-		status = http.StatusCreated
-	}
-	writeJSONStatus(w, status, problemResponse{
+	writeJSON(w, status, problemResponse{
 		PolicyInfo:  info,
 		Family:      family,
 		Instance:    inst.InstanceName(),

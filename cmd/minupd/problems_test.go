@@ -7,7 +7,8 @@ import (
 	"strings"
 	"testing"
 
-	"minup"
+	"minup/internal/constraint"
+	"minup/internal/frontend"
 )
 
 // problemPost posts a raw instance body to /problems/{family}.
@@ -53,7 +54,7 @@ func TestProblemList(t *testing.T) {
 func TestProblemCreateRoundTrip(t *testing.T) {
 	_, h, _ := newTestServer(t)
 	for _, family := range []string{"suppress", "depinf"} {
-		fe, ok := minup.LookupProblemFrontend(family)
+		fe, ok := frontend.Lookup(family)
 		if !ok {
 			t.Fatalf("frontend %q not registered", family)
 		}
@@ -61,7 +62,7 @@ func TestProblemCreateRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, err := minup.MarshalProblemInstance(inst)
+		raw, err := frontend.Marshal(inst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +102,7 @@ func TestProblemCreateRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := make(minup.Assignment, c.Set.NumAttrs())
+		m := make(constraint.Assignment, c.Set.NumAttrs())
 		for name, levelText := range solved.Assignment {
 			a, ok := c.Set.AttrByName(name)
 			if !ok {
@@ -147,12 +148,12 @@ func TestProblemCreateErrors(t *testing.T) {
 // name, and the conditional-write headers behave as on policy PUT.
 func TestProblemCreateNameAndPreconditions(t *testing.T) {
 	_, h, _ := newTestServer(t)
-	fe, _ := minup.LookupProblemFrontend("suppress")
+	fe, _ := frontend.Lookup("suppress")
 	inst, err := fe.Generate(8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := minup.MarshalProblemInstance(inst)
+	raw, err := frontend.Marshal(inst)
 	if err != nil {
 		t.Fatal(err)
 	}

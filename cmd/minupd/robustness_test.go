@@ -12,7 +12,10 @@ import (
 	"testing"
 	"time"
 
-	"minup"
+	"minup/internal/constraint"
+	"minup/internal/core"
+	"minup/internal/fault"
+	"minup/internal/obs"
 )
 
 // slowCfg returns a policy whose every solver step sleeps, so a solve
@@ -20,7 +23,7 @@ import (
 // not run through the solver) stays fast.
 func slowCfg(t *testing.T, stepDelay, budget time.Duration) config {
 	t.Helper()
-	inj, err := minup.ParseFaultSpec(fmt.Sprintf("solve.step:delay:%%1:%s", stepDelay), 1)
+	inj, err := fault.ParseSpec(fmt.Sprintf("solve.step:delay:%%1:%s", stepDelay), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +115,7 @@ func decodeDegraded(t *testing.T, srv *server, rec *httptest.ResponseRecorder, r
 	// The degraded answer must still satisfy every constraint: parse the
 	// served levels back and check.
 	lat := srv.set.Lattice()
-	m := make(minup.Assignment, len(out.Assignment))
+	m := make(constraint.Assignment, len(out.Assignment))
 	for _, a := range srv.set.Attrs() {
 		lvl, err := lat.ParseLevel(out.Assignment[srv.set.AttrName(a)])
 		if err != nil {
@@ -120,7 +123,7 @@ func decodeDegraded(t *testing.T, srv *server, rec *httptest.ResponseRecorder, r
 		}
 		m[a] = lvl
 	}
-	if err := minup.Verify(srv.set, m); err != nil {
+	if err := core.Verify(srv.set, m); err != nil {
 		t.Fatalf("degraded assignment does not verify: %v", err)
 	}
 	return out
@@ -205,7 +208,7 @@ func TestSolverPanicAnswers500(t *testing.T) {
 	// A fault-injected solver panic must surface as an opaque 500 (the
 	// recovery guard in core converts it to a typed internal error), never
 	// crash the server, and leave the next solve working.
-	inj, err := minup.ParseFaultSpec("solve.step:panic:1", 1)
+	inj, err := fault.ParseSpec("solve.step:panic:1", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,13 +227,24 @@ func TestSolverPanicAnswers500(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("solve after panic = %d: %s", rec.Code, rec.Body.String())
 	}
-	if got := minup.PanicsRecovered(); got < 1 {
+	if got := core.PanicsRecovered(); got < 1 {
 		t.Fatalf("PanicsRecovered = %d, want >= 1", got)
+	}
+	// /trace shares the mapping: the same opaque 500, never the panic text.
+	if err := inj.Rearm("solve.step:panic:1"); err != nil {
+		t.Fatal(err)
+	}
+	rec = get(t, h, "/trace")
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("panicking trace = %d: %s", rec.Code, rec.Body.String())
+	}
+	if body := rec.Body.String(); strings.Contains(body, "solver panic") || strings.Contains(body, "goroutine") {
+		t.Fatalf("trace 500 body leaks the panic: %q", body)
 	}
 }
 
 func TestMiddlewarePanicRecovery(t *testing.T) {
-	reg := minup.NewMetricsRegistry()
+	reg := obs.NewRegistry()
 	logBuf := &strings.Builder{}
 	logger := slog.New(slog.NewJSONHandler(logBuf, nil))
 	h := instrument("boom", httpObs{reg: reg, logger: logger}, func(http.ResponseWriter, *http.Request) {

@@ -59,31 +59,28 @@
 // Algorithm 3.1 itself with optional execution traces, §6 upper-bound
 // support with inconsistency detection, a multilevel relational schema
 // layer that generates constraints from keys, foreign keys, and data
-// dependencies, and the Theorem 6.1 min-poset machinery.
+// dependencies, and the Theorem 6.1 min-poset machinery, plus the tracing
+// and telemetry hooks a caller fills into Options.
+//
+// The serving stack built on this library — the durable policy catalog,
+// its WAL and event bus, replication, problem frontends, and the flight
+// recorder and SLO layer — is not part of the package: cmd/minupd and
+// cmd/minfront import those internal packages directly, so importing
+// minup links none of them.
 package minup
 
 import (
 	"context"
 	"io"
-	"time"
 
 	"minup/internal/baseline"
-	"minup/internal/bus"
-	"minup/internal/catalog"
-	"minup/internal/cluster"
 	"minup/internal/constraint"
 	"minup/internal/core"
-	"minup/internal/fault"
-	"minup/internal/frontend"
-	_ "minup/internal/frontend/depinf"
-	_ "minup/internal/frontend/suppress"
 	"minup/internal/lattice"
 	"minup/internal/mac"
 	"minup/internal/mlsdb"
 	"minup/internal/obs"
 	"minup/internal/poset"
-	"minup/internal/wal"
-	"minup/internal/workload"
 )
 
 // Lattice types.
@@ -149,9 +146,6 @@ var (
 	// recovery guard; the concrete error is an *InternalError carrying the
 	// recovered value and stack.
 	ErrInternal = core.ErrInternal
-	// ErrFaultInjected reports a cancellation injected by an armed
-	// FaultInjector (chaos testing only).
-	ErrFaultInjected = fault.ErrInjected
 )
 
 // Solver types.
@@ -172,13 +166,6 @@ type (
 	// ErrInternal; the panicking solver session is discarded, so later
 	// solves are unaffected.
 	InternalError = core.InternalError
-	// FaultInjector is a deterministic, seedable chaos-testing injector
-	// that delays, cancels, or panics at the solver's named fault points.
-	// Arm one via Options.Fault (or minupd's -fault flag); nil is the
-	// production value and keeps the hot path allocation-free.
-	FaultInjector = fault.Injector
-	// FaultRule arms one fault at one named point of a FaultInjector.
-	FaultRule = fault.Rule
 )
 
 // Observability types. Telemetry is strictly opt-in: with no sink installed
@@ -212,11 +199,6 @@ type (
 	SinkFunc = obs.SinkFunc
 	// TeeSink fans one event stream out to several sinks.
 	TeeSink = obs.TeeSink
-	// CountingSink tallies events by kind into registry counters.
-	CountingSink = obs.CountingSink
-	// MetricsGauge is an instantaneous signed value (in-flight requests,
-	// pool sizes); obtain one with MetricsRegistry.Gauge.
-	MetricsGauge = obs.Gauge
 	// Tracer mints trace spans. The zero value is deterministic (for
 	// tests); NewTracer seeds the trace ID with entropy.
 	Tracer = obs.Tracer
@@ -226,35 +208,6 @@ type (
 	SpanAttr = obs.SpanAttr
 	// SpanNode is the serializable JSON tree shape of a finished Span.
 	SpanNode = obs.SpanNode
-	// FlightRecorder is the bounded-memory ring of per-request and
-	// per-refresh flight records with anomaly dumping; minupd serves it as
-	// /debug/requests.
-	FlightRecorder = obs.FlightRecorder
-	// FlightOptions tunes a FlightRecorder.
-	FlightOptions = obs.FlightOptions
-	// FlightRecord is one completed request's or refresh job's compact
-	// record.
-	FlightRecord = obs.FlightRecord
-	// FlightStats is the compact solver-work summary on a FlightRecord.
-	FlightStats = obs.FlightStats
-	// FlightSnapshot is the JSON shape of a recorder's state.
-	FlightSnapshot = obs.FlightSnapshot
-	// ActiveFlight is one in-flight request's recording handle.
-	ActiveFlight = obs.ActiveFlight
-	// SLOTracker computes per-route multi-window burn rates.
-	SLOTracker = obs.SLOTracker
-	// SLOSpec is one route's objectives (p99 latency, availability).
-	SLOSpec = obs.SLOSpec
-	// SLOStatus is one route's burn-rate readout.
-	SLOStatus = obs.SLOStatus
-	// RuntimeCollector periodically samples process health (goroutines,
-	// heap, GC pause, WAL fsync p99) and SLO burn gauges into a registry.
-	RuntimeCollector = obs.Collector
-	// PromMetrics is a parsed Prometheus text-format scrape; see
-	// ParsePrometheus.
-	PromMetrics = obs.PromMetrics
-	// PromSample is one sample line of a PromMetrics.
-	PromSample = obs.PromSample
 )
 
 // Solver event kinds, mirroring the steps of Algorithm 3.1.
@@ -272,65 +225,6 @@ const (
 // Options.Metrics to aggregate solve stats under the "solve.*" names, call
 // its Publish method to expose it through expvar, and WriteJSON to dump it.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// NewCountingSink registers one counter per event kind under prefix in r
-// and returns the sink; each event costs one atomic add.
-func NewCountingSink(r *MetricsRegistry, prefix string) *CountingSink {
-	return obs.NewCountingSink(r, prefix)
-}
-
-// Default histogram bucket bounds shared by the solver's canonical metrics.
-var (
-	// DurationBucketsUS spans 1µs–10s for latency histograms.
-	DurationBucketsUS = obs.DurationBucketsUS
-	// SizeBuckets spans 1–100k for operation-count histograms.
-	SizeBuckets = obs.SizeBuckets
-)
-
-// NewFlightRecorder builds a flight recorder; see FlightOptions for the
-// ring size, anomaly dump directory, and triggers.
-func NewFlightRecorder(opt FlightOptions) *FlightRecorder { return obs.NewFlightRecorder(opt) }
-
-// ParseSLOSpecs parses the -slo flag grammar, e.g.
-// "solve:p99=100ms,avail=99.9;policy.solve:p99=50ms".
-func ParseSLOSpecs(s string) ([]SLOSpec, error) { return obs.ParseSLOSpecs(s) }
-
-// NewSLOTracker builds a burn-rate tracker for the given objectives.
-func NewSLOTracker(specs ...SLOSpec) *SLOTracker { return obs.NewSLOTracker(specs...) }
-
-// ParsePrometheus parses text-exposition-format metrics (the output of
-// WritePrometheus, or any 0.0.4 scrape) into a queryable PromMetrics:
-// sample lookup by name and labels, and reconstruction of cumulative
-// _bucket series back into HistogramSnapshots. Load harnesses and smoke
-// tests use it to assert on a live server's /metrics?format=prometheus.
-func ParsePrometheus(r io.Reader) (*PromMetrics, error) { return obs.ParsePrometheus(r) }
-
-// NewRuntimeCollector builds the periodic runtime/SLO sampler (interval
-// <= 0 defaults to 10s). Call Start, and Stop on drain.
-func NewRuntimeCollector(reg *MetricsRegistry, slo *SLOTracker, interval time.Duration) *RuntimeCollector {
-	return obs.NewCollector(reg, slo, interval)
-}
-
-// SessionsAllocated reports how many pooled solver sessions the process has
-// ever allocated — an upper bound on the session pool's current size and a
-// proxy for peak solve concurrency. Servers export it as a gauge.
-func SessionsAllocated() int64 { return core.SessionsAllocated() }
-
-// PanicsRecovered reports how many solver panics the process has recovered
-// from (each converted to an *InternalError and its session discarded).
-// Servers export it as a gauge next to the pool size.
-func PanicsRecovered() int64 { return core.PanicsRecovered() }
-
-// NewFaultInjector returns an empty chaos-testing injector whose
-// probabilistic rules draw from a PRNG seeded with seed.
-func NewFaultInjector(seed int64) *FaultInjector { return fault.New(seed) }
-
-// ParseFaultSpec builds a FaultInjector from the textual rule list used by
-// minupd's -fault flag, e.g. "solve.step:delay:%1:5ms;pool.get:panic:3".
-// See the fault package's ParseSpec for the grammar.
-func ParseFaultSpec(spec string, seed int64) (*FaultInjector, error) {
-	return fault.ParseSpec(spec, seed)
-}
 
 // NewTracer returns a tracer with a random trace ID. Start a root span,
 // attach it to a context with ContextWithSpan, and pass that context to
@@ -642,238 +536,3 @@ func ReduceSAT(numVars int, clauses []SATClause) (*SATReduction, error) {
 func SolveSAT(numVars int, clauses []SATClause) (assignment []bool, ok bool) {
 	return poset.SolveSAT(numVars, clauses)
 }
-
-// Policy-catalog types: the durable multi-tenant store behind minupd's
-// /policies API. A catalog holds named, monotonically versioned policies
-// (lattice + constraint set) hashed across independent shards, each with
-// its own storage backend (CatalogStore) and lock. Mutations return once
-// the record is durable and the in-memory maps are updated; the solver
-// work (compile, memoized solve, incremental repair via RepairContext)
-// runs on per-shard background workers fed by an event bus, unless the
-// caller opts into waiting (PolicyMutateOptions{Wait: true}).
-type (
-	// PolicyCatalog is the store itself; construct with OpenCatalog. Safe
-	// for concurrent use.
-	PolicyCatalog = catalog.Catalog
-	// CatalogOptions configures OpenCatalog (data directory, WAL fsync
-	// policy, metrics registry, fault injector, compaction threshold,
-	// shard count, storage hook).
-	CatalogOptions = catalog.Options
-	// PolicyInfo describes one policy version (name, version, shard,
-	// sizes, source texts, cache state).
-	PolicyInfo = catalog.PolicyInfo
-	// PolicyMutateOptions tunes one mutation: Wait forces the solver
-	// refresh inline so the response reflects a warm cache.
-	PolicyMutateOptions = catalog.MutateOptions
-	// PolicyAppendResult reports an Append: the new PolicyInfo plus
-	// whether the memoized solution was repaired inline (and how) or the
-	// refresh is still pending on a shard worker.
-	PolicyAppendResult = catalog.AppendResult
-	// PolicySolveResult is a served solution: assignment, solve stats, and
-	// whether it came from the memoized cache.
-	PolicySolveResult = catalog.SolveResult
-	// CatalogRecoveryInfo reports what OpenCatalog reconstructed from the
-	// data directory (snapshot policies, WAL records, torn tails, shards).
-	CatalogRecoveryInfo = catalog.RecoveryInfo
-	// CatalogStore is the per-shard storage contract (append a record,
-	// load snapshot + replay, compact, close). The built-in backends are
-	// the durable WAL store (CatalogOptions.Dir) and NewCatalogMemStore;
-	// CatalogOptions.OpenStore installs a custom one per shard.
-	CatalogStore = catalog.Store
-	// CatalogLoadStats summarizes one CatalogStore.Load.
-	CatalogLoadStats = catalog.LoadStats
-	// CatalogMutationEvent is the payload published on
-	// CatalogTopicMutations after every durable mutation.
-	CatalogMutationEvent = catalog.MutationEvent
-	// CatalogRefreshEvent is the payload published on
-	// CatalogTopicRefreshed when a shard worker finishes (or fails) a
-	// solver refresh.
-	CatalogRefreshEvent = catalog.RefreshEvent
-	// EventBus is the catalog's internal publish/subscribe bus, reachable
-	// via (*PolicyCatalog).Bus for observing pipeline activity.
-	EventBus = bus.Bus
-	// BusEvent is one delivered bus message (topic, sequence, payload).
-	BusEvent = bus.Event
-	// BusSubscription receives events for one topic on channel C.
-	BusSubscription = bus.Subscription
-	// WALSyncPolicy selects when the catalog's write-ahead log calls
-	// fsync.
-	WALSyncPolicy = wal.SyncPolicy
-)
-
-// Bus topics the catalog publishes on; subscribe via (*PolicyCatalog).Bus.
-const (
-	// CatalogTopicMutations carries a CatalogMutationEvent per durable
-	// put, append, and delete.
-	CatalogTopicMutations = catalog.TopicMutations
-	// CatalogTopicRefreshed carries a CatalogRefreshEvent per finished
-	// solver refresh.
-	CatalogTopicRefreshed = catalog.TopicRefreshed
-)
-
-// NewCatalogMemStore creates an empty in-memory CatalogStore. It survives
-// Close, so tests can hand the same instance to successive catalogs via
-// CatalogOptions.OpenStore to exercise recovery without a disk.
-func NewCatalogMemStore() *catalog.MemStore { return catalog.NewMemStore() }
-
-// WAL fsync policies for CatalogOptions.Sync.
-const (
-	// WALSyncAlways fsyncs after every appended record (the durable
-	// default).
-	WALSyncAlways = wal.SyncAlways
-	// WALSyncNever leaves flushing to the OS; a crash may lose the most
-	// recent records but recovery still yields a consistent prefix.
-	WALSyncNever = wal.SyncNever
-)
-
-// Version preconditions for the catalog's mutating calls.
-const (
-	// PolicyUnconditional skips the optimistic-concurrency check.
-	PolicyUnconditional = catalog.Unconditional
-	// PolicyMustNotExist makes a Put create-only (HTTP If-None-Match: *).
-	PolicyMustNotExist = catalog.MustNotExist
-)
-
-// Catalog errors. Match with errors.Is; minupd maps them to 404, 409, 412,
-// and 500.
-var (
-	// ErrPolicyNotFound reports a name with no policy behind it.
-	ErrPolicyNotFound = catalog.ErrNotFound
-	// ErrPolicyExists reports a create-only Put against an existing
-	// policy.
-	ErrPolicyExists = catalog.ErrExists
-	// ErrPolicyVersionMismatch reports a failed version precondition.
-	ErrPolicyVersionMismatch = catalog.ErrVersionMismatch
-	// ErrPolicyStorage reports a WAL write failure; the mutation was not
-	// applied.
-	ErrPolicyStorage = catalog.ErrStorage
-	// ErrPolicySnapshotCorrupt reports a shard snapshot that failed
-	// validation during recovery; OpenCatalog refuses the directory
-	// rather than serving partial state.
-	ErrPolicySnapshotCorrupt = catalog.ErrSnapshotCorrupt
-	// ErrPolicyClosed reports a mutation against a closed catalog.
-	ErrPolicyClosed = catalog.ErrClosed
-)
-
-// OpenCatalog creates a policy catalog. With CatalogOptions.Dir set it
-// recovers the persisted state (per-shard snapshot plus WAL replay,
-// shards recovered concurrently, torn final frames truncated); the
-// directory's own shard count always wins over CatalogOptions.Shards.
-// With an empty Dir and no OpenStore hook the catalog is memory-only.
-func OpenCatalog(opt CatalogOptions) (*PolicyCatalog, error) { return catalog.Open(opt) }
-
-// PolicyMutation is one step of a generated catalog workload (a put,
-// constraint append, or delete with source texts attached).
-type PolicyMutation = workload.Mutation
-
-// PolicyMutationSpec shapes a MutationStream: op mix, policy-name pool,
-// constraint-text sizes, and the fresh-attribute rate.
-type PolicyMutationSpec = workload.MutationSpec
-
-// MutationStream generates a deterministic seeded sequence of policy
-// catalog mutations in which every step is valid against the state its
-// predecessors produced — the driver behind the catalog soak and
-// crash-recovery chaos tests.
-func MutationStream(spec PolicyMutationSpec) ([]PolicyMutation, error) {
-	return workload.MutationStream(spec)
-}
-
-// ---------------------------------------------------------------------------
-// Problem frontends (internal/frontend): adjacent problem classes compiled
-// into the constraint engine. Importing the façade registers the suppress
-// (Kao cell suppression) and depinf (Pappachan dependency inference)
-// frontends.
-
-type (
-	// ProblemFrontend compiles one source-problem family (cell-suppression
-	// tables, dependency-laden relations) into a lattice plus constraint
-	// set, and checks solved assignments against a source-level security
-	// and minimality oracle.
-	ProblemFrontend = frontend.Frontend
-	// ProblemInstance is one parsed source-problem instance with a
-	// round-trippable JSON form.
-	ProblemInstance = frontend.Instance
-	// ProblemCompiled is the engine-ready form of a source instance,
-	// including catalog policy source texts.
-	ProblemCompiled = frontend.Compiled
-)
-
-// LookupProblemFrontend returns the frontend registered for a family
-// ("suppress", "depinf").
-func LookupProblemFrontend(family string) (ProblemFrontend, bool) { return frontend.Lookup(family) }
-
-// ProblemFamilies returns the registered problem-frontend family names,
-// sorted.
-func ProblemFamilies() []string { return frontend.Families() }
-
-// MarshalProblemInstance serializes an instance into the JSON format its
-// frontend's Parse accepts.
-func MarshalProblemInstance(inst ProblemInstance) ([]byte, error) { return frontend.Marshal(inst) }
-
-// PolicyFamilyInstance is one generated instance of a registered workload
-// instance family: catalog-ready policy source texts plus (for
-// frontend-backed families) the source-problem JSON document.
-type PolicyFamilyInstance = workload.FamilyInstance
-
-// PolicyFamilyNames returns the registered workload instance families
-// ("paper" plus one per problem frontend), sorted.
-func PolicyFamilyNames() []string { return workload.FamilyNames() }
-
-// GeneratePolicyFamily generates one seeded instance of a registered
-// workload instance family.
-func GeneratePolicyFamily(name string, seed int64, size int) (PolicyFamilyInstance, error) {
-	return workload.GenerateFamily(name, seed, size)
-}
-
-// ---------------------------------------------------------------------------
-// Cluster replication (internal/cluster): leader/follower catalog
-// replication over the per-shard WAL record stream.
-
-type (
-	// ClusterNode is one replication cluster member: a term- and
-	// lease-based leader streams WAL record frames to followers and acks a
-	// mutation only after a majority has durably appended it. Construct
-	// with OpenClusterNode.
-	ClusterNode = cluster.Node
-	// ClusterOptions configures OpenClusterNode (node id, listen address,
-	// peer map, advertised HTTP address, catalog, record ring, timings).
-	ClusterOptions = cluster.Options
-	// ClusterStatus is one node's view of the cluster — the GET /cluster
-	// payload (role, term, lease expiry, per-peer lag, fingerprints).
-	ClusterStatus = cluster.Status
-	// ClusterPeerStatus is the leader's replication view of one peer.
-	ClusterPeerStatus = cluster.PeerStatus
-	// ClusterRecordLog is the in-memory per-shard tail of WAL records the
-	// leader replays to followers; wire it into the catalog via
-	// CatalogOptions.OnRecord = log.Append.
-	ClusterRecordLog = cluster.RecordLog
-	// CatalogRecordEvent is the payload of CatalogOptions.OnRecord: one
-	// durably appended WAL record (shard, sequence number, payload bytes).
-	CatalogRecordEvent = catalog.RecordEvent
-)
-
-// Cluster errors. Match with errors.Is; minupd maps them onto the write
-// path (307 redirect, 503).
-var (
-	// ErrClusterNotLeader reports a mutation sent to a follower; redirect
-	// to the leader returned alongside it.
-	ErrClusterNotLeader = cluster.ErrNotLeader
-	// ErrClusterNoLeader reports that no leader is currently known (an
-	// election is in progress, or this node is partitioned).
-	ErrClusterNoLeader = cluster.ErrNoLeader
-	// ErrClusterNoQuorum reports a mutation that is locally durable but
-	// was not acknowledged by a majority within the commit timeout.
-	ErrClusterNoQuorum = cluster.ErrNoQuorum
-	// ErrClusterClosed reports an operation on a closed cluster node.
-	ErrClusterClosed = cluster.ErrClosed
-)
-
-// NewClusterRecordLog creates the replication record ring (0 uses the
-// default window of 1024 records per shard).
-func NewClusterRecordLog(size int) *ClusterRecordLog { return cluster.NewRecordLog(size) }
-
-// OpenClusterNode starts a replication cluster member over an open
-// catalog. The catalog must have been opened with CatalogOptions.OnRecord
-// feeding the same ClusterRecordLog passed here, or followers can only
-// catch up by snapshot.
-func OpenClusterNode(opt ClusterOptions) (*ClusterNode, error) { return cluster.Open(opt) }
