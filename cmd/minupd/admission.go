@@ -4,24 +4,26 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"net/url"
 	"sync/atomic"
 	"time"
 
 	"minup/internal/obs"
 )
 
-// Admission control for the solve-serving routes: a bounded-concurrency
-// gate with a short bounded wait queue in front of it. At most maxInflight
-// requests hold a slot at once; up to maxQueue more may wait up to
-// queueWait for one. Anything beyond that — and everything once the server
-// is draining — is shed immediately with 503 + Retry-After, which is the
-// overload posture the ROADMAP's heavy-traffic target requires: reject
-// fast and cheap instead of stacking goroutines until the deadline storm.
+// Admission control for every route that does solver work (solves,
+// appends, ?wait=1 writes): a bounded-concurrency gate with a short bounded
+// wait queue in front of it. At most maxInflight requests hold a slot at
+// once; up to maxQueue more may wait up to queueWait for one. Anything
+// beyond that — and everything once the server is draining — is shed
+// immediately with 503 + Retry-After, which is the overload posture the
+// ROADMAP's heavy-traffic target requires: reject fast and cheap instead of
+// stacking goroutines until the deadline storm.
 //
 // The gate also reports a soft overload signal: when the wait queue is at
-// least half full, admitted /solve requests skip the minimal solver and
-// serve the Qian baseline directly (see serveDegraded), trading optimality
-// for latency while staying secure by construction.
+// least half full, an admitted solve the memo cannot answer serves the Qian
+// baseline directly (see solvePolicy), trading optimality for latency while
+// staying secure by construction.
 
 // Shed reasons, returned by gate.acquire and surfaced in the 503 body and
 // the structured log.
@@ -147,11 +149,12 @@ func (a admission) release() {
 	a.gate.release()
 }
 
-// admit passes a solve-serving request through the admission gate and arms
-// its solve deadline. On success the caller must defer adm.release() and
-// run its solver work under ctx. Otherwise the request has already been
-// answered: 408 when the client went away while queued, 503 when shed.
-func (s *server) admit(w http.ResponseWriter, r *http.Request) (ctx context.Context, adm admission, ok bool) {
+// admit passes a request that does solver work through the admission gate
+// and arms its solve deadline (q is the request's parsed query). On success
+// the caller must defer adm.release() and run its solver work under ctx.
+// Otherwise the request has already been answered: 408 when the client went
+// away while queued, 503 when shed.
+func (s *server) admit(w http.ResponseWriter, r *http.Request, q url.Values) (ctx context.Context, adm admission, ok bool) {
 	if err := s.gate.acquire(r.Context()); err != nil {
 		if r.Context().Err() != nil {
 			http.Error(w, "client gone while queued", http.StatusRequestTimeout)
@@ -160,7 +163,7 @@ func (s *server) admit(w http.ResponseWriter, r *http.Request) (ctx context.Cont
 		}
 		return nil, admission{}, false
 	}
-	budget := s.solveBudget(r)
+	budget := s.solveBudget(q)
 	ctx, cancel := context.WithTimeout(r.Context(), budget)
 	return ctx, admission{gate: s.gate, cancel: cancel, budget: budget}, true
 }

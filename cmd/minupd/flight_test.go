@@ -41,15 +41,17 @@ func TestDegradedSolveFlightRecordAndSLOBurn(t *testing.T) {
 	cfg := slowCfg(t, 30*time.Millisecond, 10*time.Millisecond)
 	dumpDir := t.TempDir()
 	cfg.flight = obs.NewFlightRecorder(obs.FlightOptions{DumpDir: dumpDir, SLO: cfg.slo})
-	srv, h, logBuf := newTestServerCfg(t, cfg)
+	_, h, logBuf := newStaticServerCfg(t, cfg)
 
 	rec := get(t, h, "/solve")
-	decodeDegraded(t, srv, rec, "deadline")
+	decodeDegraded(t, fig2Set(t), rec, "deadline")
 
-	// (1) The degraded request is in the flight ring and the anomaly ring.
+	// (1) The degraded request is in the flight ring and the anomaly ring;
+	// the ring also holds the boot refresh of the static policy, which
+	// completed and is no anomaly.
 	snap, slo := debugRequestsJSON(t, cfg.flight)
-	if snap.Total != 1 || len(snap.RecentAnomalies) != 1 {
-		t.Fatalf("flight snapshot total=%d anomalies=%d, want 1/1", snap.Total, len(snap.RecentAnomalies))
+	if snap.Total != 2 || len(snap.RecentAnomalies) != 1 {
+		t.Fatalf("flight snapshot total=%d anomalies=%d, want 2/1", snap.Total, len(snap.RecentAnomalies))
 	}
 	fr := snap.RecentAnomalies[0]
 	if fr.Route != "solve" || !fr.Degraded || fr.DegradeReason != "deadline" {
@@ -133,7 +135,7 @@ func TestShedRequestRecordedNotDumped(t *testing.T) {
 	cfg.maxQueue = 0 // no waiting: the second concurrent request sheds
 	dumpDir := t.TempDir()
 	cfg.flight = obs.NewFlightRecorder(obs.FlightOptions{DumpDir: dumpDir, SLO: cfg.slo})
-	srv, h, logBuf := newTestServerCfg(t, cfg)
+	srv, h, logBuf := newStaticServerCfg(t, cfg)
 
 	// Hold the only slot so the next request sheds instantly.
 	srv.gate.sem <- struct{}{}
@@ -143,11 +145,18 @@ func TestShedRequestRecordedNotDumped(t *testing.T) {
 		t.Fatalf("saturated solve = %d, want 503", rec.Code)
 	}
 
+	// The ring holds the boot refresh of the static policy and the shed
+	// request.
 	snap, _ := debugRequestsJSON(t, cfg.flight)
-	if snap.Total != 1 {
-		t.Fatalf("flight total = %d, want 1", snap.Total)
+	if snap.Total != 2 {
+		t.Fatalf("flight total = %d, want 2", snap.Total)
 	}
-	fr := snap.Recent[0]
+	var fr obs.FlightRecord
+	for _, r := range snap.Recent {
+		if r.Kind == "http" {
+			fr = r
+		}
+	}
 	if !fr.Shed || fr.Status != http.StatusServiceUnavailable {
 		t.Fatalf("shed record = %+v", fr)
 	}

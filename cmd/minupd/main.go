@@ -1,7 +1,7 @@
-// Command minupd serves minimal-classification solves of one compiled
-// constraint set over HTTP, with a separate debug listener exposing the
-// solver's cumulative telemetry — the ROADMAP's production-shape deployment
-// of the compile-once / solve-many split.
+// Command minupd serves minimal-classification solves of a catalog of
+// compiled constraint sets over HTTP, with a separate debug listener
+// exposing the solver's cumulative telemetry — the ROADMAP's
+// production-shape deployment of the compile-once / solve-many split.
 //
 // Usage:
 //
@@ -13,22 +13,21 @@
 //	       [-flight-size 256] [-flight-dump-dir auto] [-flight-dump-cap n] \
 //	       [-flight-slow 1s] [-slo spec] [-slo-interval 10s]
 //
-// -lattice/-constraints configure the optional static instance behind
-// /solve and /trace; without them minupd is a pure policy-catalog server
-// and those routes answer 404.
+// -lattice/-constraints store an optional static instance in the catalog
+// as the policy "static", served by /solve and /trace (404 without it).
+// They are refused with -cluster-peers: PUT it through the leader instead.
 //
 // # Policy catalog
 //
-// Besides the static instance, minupd manages a catalog of named,
-// versioned policies (lattice + constraint set each), hashed across
-// -shards independent shards (default GOMAXPROCS). The catalog is durable
-// when -data-dir is set: every mutation is written to that shard's
-// write-ahead log before it is applied (fsync per -fsync), each log is
-// periodically compacted into an atomic snapshot, shards recover
-// concurrently on startup, and a restart reproduces the catalog exactly —
-// a torn final WAL frame is truncated, losing at most the interrupted
-// mutation. The directory remembers its shard count, so a later -shards
-// value never rehashes existing policies.
+// minupd manages a catalog of named, versioned policies (lattice +
+// constraint set each), hashed across -shards independent shards (default
+// GOMAXPROCS). The catalog is durable when -data-dir is set: every
+// mutation is written to that shard's write-ahead log before it is applied
+// (fsync per -fsync), each log is periodically compacted into an atomic
+// snapshot, shards recover concurrently on startup, and a restart
+// reproduces the catalog exactly — a torn final WAL frame is truncated,
+// losing at most the interrupted mutation. The directory remembers its
+// shard count, so a later -shards value never rehashes existing policies.
 //
 // Mutations return once durable; compiling and solving the new version
 // happens on per-shard background workers unless the request carries
@@ -51,7 +50,8 @@
 //	GET    /policies/{name}/solve       minimal classification, memoized:
 //	                                    an unchanged policy is served with
 //	                                    zero compiles and zero solves
-//	                                    (POST works too)
+//	                                    (POST works too; ?trace=1 and
+//	                                    ?lattice_ops=1 force a fresh solve)
 //
 // Source problems from the registered problem frontends enter through the
 // /problems routes: the instance JSON is parsed and compiled to policy
@@ -73,16 +73,17 @@
 // The service listener answers on the static routes (GET only; other
 // methods get 405):
 //
-//	GET /solve            solve the compiled instance; JSON assignment +
-//	                      per-solve stats (add ?lattice_ops=1 to count
-//	                      lattice operations, ?trace=1 to run the solve
-//	                      under a tracer and report its trace ID, and
+//	GET /solve            a fresh solve of the static policy; JSON
+//	                      assignment + per-solve stats (add ?lattice_ops=1
+//	                      to count lattice operations, ?trace=1 to run the
+//	                      solve under a tracer and report its trace ID, and
 //	                      ?timeout_ms=N to tighten the solve deadline —
 //	                      clamped to [1ms, -solve-timeout])
 //	GET /metrics          the metrics registry snapshot as JSON; add
 //	                      ?format=prometheus for text exposition format
-//	GET /trace            run one fully instrumented solve and return its
-//	                      span tree (?format=json|chrome|flame)
+//	GET /trace            run one fully instrumented solve of the static
+//	                      policy and return its span tree
+//	                      (?format=json|chrome|flame)
 //	GET /healthz          liveness check (process is up)
 //	GET /readyz           readiness check: 503 while draining after
 //	                      SIGTERM/SIGINT or while the admission queue is
@@ -90,21 +91,22 @@
 //
 // # Overload behavior
 //
-// /solve and /trace run behind a bounded-concurrency admission gate: at
-// most -max-inflight requests solve at once, up to -max-queue more wait up
-// to -queue-wait for a slot, and everything beyond that is shed with 503 +
-// Retry-After (counted as http.shed). Every admitted solve runs under a
-// deadline (-solve-timeout, tightened per request with ?timeout_ms=).
+// Solves, appends and ?wait=1 writes run behind a bounded-concurrency
+// admission gate: at most -max-inflight requests solve at once, up to
+// -max-queue more wait up to -queue-wait for a slot, and everything beyond
+// that is shed with 503 + Retry-After (counted as http.shed). Every
+// admitted solve runs under a deadline (-solve-timeout, tightened per
+// request with ?timeout_ms=).
 //
 // When a minimal solve cannot be served — its deadline expired, or the
-// gate is already past its soft overload threshold at admission — the
-// server degrades instead of failing: it answers with the Qian-baseline
-// least fixpoint (§4 of the paper), which satisfies every secrecy,
-// inference, and association constraint by construction and merely
-// over-classifies. Degraded responses carry "degraded": true, the reason,
-// and the over-classification cost (upgraded-attribute delta vs. the last
-// minimal solve); each is counted under solve.degraded. Disable with
-// -degrade=false to get plain 504/503 errors instead.
+// gate is already past its soft overload threshold and the memo cannot
+// answer — the server degrades instead of failing: it answers with the
+// Qian-baseline least fixpoint (§4 of the paper), which satisfies every
+// secrecy, inference, and association constraint by construction and
+// merely over-classifies. Degraded responses carry "degraded": true, the
+// reason, and the over-classification cost (upgraded-attribute delta vs.
+// the version's memoized minimal answer); each is counted under
+// solve.degraded. Disable with -degrade=false to get plain 504/503 errors.
 //
 // Solver panics never kill the process: the solver converts them to typed
 // internal errors (returned as 500, counted as solve.panics), and a
@@ -161,6 +163,7 @@ import (
 	"log/slog"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux
+	"net/url"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -172,13 +175,10 @@ import (
 	"syscall"
 	"time"
 
-	"minup/internal/baseline"
 	"minup/internal/catalog"
 	"minup/internal/cluster"
-	"minup/internal/constraint"
 	"minup/internal/core"
 	"minup/internal/fault"
-	"minup/internal/lattice"
 	"minup/internal/obs"
 	"minup/internal/wal"
 )
@@ -229,15 +229,15 @@ func defaultConfig() config {
 }
 
 func main() {
-	latticePath := flag.String("lattice", "", "path to the lattice description file for the static /solve instance (optional)")
-	consPath := flag.String("constraints", "", "path to the constraint file for the static /solve instance (optional)")
+	latticePath := flag.String("lattice", "", "path to the lattice description file of the static instance behind /solve and /trace (optional)")
+	consPath := flag.String("constraints", "", "path to the constraint file of the static instance behind /solve and /trace (optional)")
 	dataDir := flag.String("data-dir", "", "policy-catalog data directory; empty keeps the catalog in memory only")
 	fsyncPolicy := flag.String("fsync", "always", "catalog WAL fsync policy: always|never")
 	shards := flag.Int("shards", 0, "policy-catalog shard count (0 = GOMAXPROCS); an existing data directory's count always wins")
 	addr := flag.String("addr", ":8080", "service listen address")
 	debugAddr := flag.String("debug-addr", "127.0.0.1:6060", "debug listen address for /debug/vars and /debug/pprof (empty to disable)")
 	def := defaultConfig()
-	maxInflight := flag.Int("max-inflight", def.maxInflight, "max concurrent /solve and /trace requests before queueing")
+	maxInflight := flag.Int("max-inflight", def.maxInflight, "max concurrent solver requests (solves, constraint appends, ?wait=1 writes) before queueing")
 	maxQueue := flag.Int("max-queue", def.maxQueue, "max requests waiting for a solve slot; beyond this, shed with 503")
 	queueWait := flag.Duration("queue-wait", def.queueWait, "max time a queued request waits for a slot before being shed")
 	solveTimeout := flag.Duration("solve-timeout", def.solveTimeout, "per-request solve budget (ceiling for ?timeout_ms=)")
@@ -260,40 +260,10 @@ func main() {
 	flag.DurationVar(&cf.lease, "cluster-lease", 0, "leader lease (0 = 8 ticks)")
 	maxReplicaLag := flag.Int64("max-replica-lag", 1024, "frames a follower may trail the leader before /readyz answers 503 (negative disables the check)")
 	flag.Parse()
-	if (*latticePath == "") != (*consPath == "") {
-		fmt.Fprintln(os.Stderr, "minupd: -lattice and -constraints must be given together")
+	if err := checkStaticFlags(*latticePath, *consPath, cf.enabled()); err != nil {
+		fmt.Fprintln(os.Stderr, "minupd:", err)
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	// The static instance behind /solve and /trace is optional; without it
-	// minupd is a pure policy-catalog server.
-	var set *constraint.Set
-	var compiled *constraint.Compiled
-	if *latticePath != "" {
-		lf, err := os.Open(*latticePath)
-		if err != nil {
-			fatal(err)
-		}
-		lat, err := lattice.Parse(lf)
-		lf.Close()
-		if err != nil {
-			fatal(err)
-		}
-		set = constraint.NewSet(lat)
-		cf, err := os.Open(*consPath)
-		if err != nil {
-			fatal(err)
-		}
-		err = set.ParseInto(cf)
-		cf.Close()
-		if err != nil {
-			fatal(err)
-		}
-		compiled = set.Compile()
-		if err := core.CheckSolvable(set); err != nil {
-			fatal(fmt.Errorf("instance is unsolvable: %w", err))
-		}
 	}
 	cfg := config{
 		maxInflight:  *maxInflight,
@@ -396,6 +366,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "minupd: catalog recovered from %s: %d policies over %d shards (snapshot %d, WAL records %d, torn tail %v) in %s\n",
 			*dataDir, cat.Len(), ri.Shards, ri.SnapshotPolicies, ri.WALRecords, ri.TornTail, ri.Duration)
 	}
+	if *latticePath != "" {
+		info, err := storeStatic(cat, *latticePath, *consPath)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "minupd: static instance stored as policy %q version %d (%d attrs, %d constraints)\n",
+			staticPolicy, info.Version, info.Attrs, info.Constraints)
+	}
 
 	// build_info is the constant-1 info gauge joins dashboards key on:
 	// which build, which Go, how many catalog shards, started when.
@@ -406,7 +384,7 @@ func main() {
 		"start_time": time.Now().UTC().Format(time.RFC3339),
 	})
 
-	srv := newServer(set, compiled, cat, reg, cfg)
+	srv := newServer(cat, reg, cfg)
 	mux := srv.routes(logger)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -473,15 +451,8 @@ func main() {
 		wg.Wait()
 		close(shutdownDone)
 	}()
-	if compiled != nil {
-		cs := compiled.CompileStats()
-		fmt.Fprintf(os.Stderr, "minupd: serving %d attrs, %d constraints (S=%d, %d SCCs, compiled in %s) on %s (max-inflight=%d queue=%d solve-timeout=%s degrade=%v)\n",
-			cs.Attrs, cs.Constraints, cs.TotalSize, cs.SCCs, cs.Duration, *addr,
-			cfg.maxInflight, cfg.maxQueue, cfg.solveTimeout, cfg.degrade)
-	} else {
-		fmt.Fprintf(os.Stderr, "minupd: serving the policy catalog (no static instance) on %s (max-inflight=%d queue=%d solve-timeout=%s)\n",
-			*addr, cfg.maxInflight, cfg.maxQueue, cfg.solveTimeout)
-	}
+	fmt.Fprintf(os.Stderr, "minupd: serving the policy catalog on %s (max-inflight=%d queue=%d solve-timeout=%s degrade=%v)\n",
+		*addr, cfg.maxInflight, cfg.maxQueue, cfg.solveTimeout, cfg.degrade)
 	err = main.ListenAndServe()
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
@@ -514,30 +485,56 @@ func main() {
 	}
 }
 
+// staticPolicy is the reserved catalog name the -lattice/-constraints
+// instance is stored under; /solve and /trace serve it.
+const staticPolicy = "static"
+
+// checkStaticFlags validates the static-instance flags: they come as a
+// pair, and never in cluster mode, where a node-local Put would bypass the
+// replication barrier and diverge the replicas.
+func checkStaticFlags(latticePath, consPath string, clustered bool) error {
+	if (latticePath == "") != (consPath == "") {
+		return errors.New("-lattice and -constraints must be given together")
+	}
+	if latticePath != "" && clustered {
+		return fmt.Errorf("-lattice/-constraints cannot be combined with -cluster-peers: PUT the instance to /policies/%s through the leader instead", staticPolicy)
+	}
+	return nil
+}
+
+// storeStatic stores the -lattice/-constraints files as the staticPolicy
+// with an ordinary catalog Put, unless a policy recovered from -data-dir
+// already holds the same texts.
+func storeStatic(cat *catalog.Catalog, latticePath, consPath string) (catalog.PolicyInfo, error) {
+	lat, err := os.ReadFile(latticePath)
+	if err != nil {
+		return catalog.PolicyInfo{}, err
+	}
+	cons, err := os.ReadFile(consPath)
+	if err != nil {
+		return catalog.PolicyInfo{}, err
+	}
+	if cur, err := cat.Get(staticPolicy); err == nil && cur.Lattice == string(lat) && cur.ConstraintText == string(cons) {
+		return cur, nil
+	}
+	return cat.Put(context.Background(), staticPolicy, string(lat), string(cons), catalog.Unconditional)
+}
+
 type server struct {
-	// set and compiled are the optional static instance behind /solve and
-	// /trace; both nil when minupd runs as a pure policy-catalog server.
-	set      *constraint.Set
-	compiled *constraint.Compiled
 	cat      *catalog.Catalog
 	reg      *obs.Registry
 	cfg      config
 	gate     *gate
 	draining atomic.Bool
-	// lastMinimalUpgraded is CountUpgraded of the most recent successful
-	// minimal solve, or -1 before the first; degraded responses report the
-	// baseline's over-classification cost as a delta against it.
-	lastMinimalUpgraded atomic.Int64
 	// start anchors the process.uptime_seconds gauge.
 	start time.Time
 }
 
 // newServer wires a server the way main does, so tests share the exact
 // production admission/degradation path.
-func newServer(set *constraint.Set, compiled *constraint.Compiled, cat *catalog.Catalog, reg *obs.Registry, cfg config) *server {
-	s := &server{set: set, compiled: compiled, cat: cat, reg: reg, cfg: cfg, start: time.Now()}
+func newServer(cat *catalog.Catalog, reg *obs.Registry, cfg config) *server {
+	s := &server{cat: cat, reg: reg, cfg: cfg, start: time.Now()}
 	s.gate = newGate(cfg.maxInflight, cfg.maxQueue, cfg.queueWait, &s.draining, reg)
-	s.lastMinimalUpgraded.Store(-1)
 	// Register the degradation counters eagerly so a scrape sees the
 	// series before the first overload.
 	reg.Counter("solve.degraded")
@@ -549,9 +546,13 @@ func newServer(set *constraint.Set, compiled *constraint.Compiled, cat *catalog.
 func (s *server) routes(logger *slog.Logger) http.Handler {
 	o := httpObs{reg: s.reg, logger: logger, flight: s.cfg.flight, slo: s.cfg.slo}
 	mux := http.NewServeMux()
-	mux.Handle("/solve", instrument("solve", o, s.handleSolve))
+	mux.Handle("/solve", instrument("solve", o, func(w http.ResponseWriter, r *http.Request) {
+		s.solvePolicy(w, r, staticPolicy, solveRoute)
+	}))
 	mux.Handle("/metrics", instrument("metrics", o, s.handleMetrics))
-	mux.Handle("/trace", instrument("trace", o, s.handleTrace))
+	mux.Handle("/trace", instrument("trace", o, func(w http.ResponseWriter, r *http.Request) {
+		s.solvePolicy(w, r, staticPolicy, traceRoute)
+	}))
 	mux.Handle("/healthz", instrument("healthz", o, func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
@@ -567,8 +568,9 @@ func (s *server) routes(logger *slog.Logger) http.Handler {
 	mux.Handle("GET /policies/{name}", instrumentMethods("policy", o, s.handlePolicyGet))
 	mux.Handle("DELETE /policies/{name}", instrumentMethods("policy", o, s.handlePolicyDelete))
 	mux.Handle("POST /policies/{name}/constraints", instrumentMethods("policy.constraints", o, s.handlePolicyAppend))
-	mux.Handle("GET /policies/{name}/solve", instrumentMethods("policy.solve", o, s.handlePolicySolve))
-	mux.Handle("POST /policies/{name}/solve", instrumentMethods("policy.solve", o, s.handlePolicySolve))
+	solve := func(w http.ResponseWriter, r *http.Request) { s.solvePolicy(w, r, r.PathValue("name"), policyRoute) }
+	mux.Handle("GET /policies/{name}/solve", instrumentMethods("policy.solve", o, solve))
+	mux.Handle("POST /policies/{name}/solve", instrumentMethods("policy.solve", o, solve))
 	// Problem-frontend routes: source problems compiled into ordinary
 	// catalog policies. Route names stay low-cardinality — the family set
 	// is small and fixed at build time.
@@ -599,24 +601,7 @@ func (s *server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// solveResponse is the JSON answer of /solve.
-type solveResponse struct {
-	Assignment map[string]string `json:"assignment"`
-	Stats      solveStats        `json:"stats"`
-	TraceID    string            `json:"trace_id,omitempty"`
-
-	// Degraded marks an answer produced by the Qian baseline instead of
-	// the minimal solver: still satisfying every constraint, but
-	// over-classified. DegradeReason is "deadline" or "overload".
-	Degraded      bool   `json:"degraded,omitempty"`
-	DegradeReason string `json:"degrade_reason,omitempty"`
-	// UpgradedAttrs is the number of attributes classified above lattice
-	// bottom in a degraded answer; UpgradeDelta is the over-classification
-	// cost vs. the last successful minimal solve (absent before one).
-	UpgradedAttrs int  `json:"upgraded_attrs,omitempty"`
-	UpgradeDelta  *int `json:"upgrade_delta,omitempty"`
-}
-
+// solveStats is the JSON shape of the solver's stats block.
 type solveStats struct {
 	Tries          int    `json:"tries"`
 	FailedTries    int    `json:"failed_tries"`
@@ -636,9 +621,9 @@ type solveStats struct {
 // solveBudget resolves the request's solve deadline: the -solve-timeout
 // flag, tightened by ?timeout_ms= and clamped to [1ms, flag] so a client
 // can only shrink its own budget, never grow it past the server's policy.
-func (s *server) solveBudget(r *http.Request) time.Duration {
+func (s *server) solveBudget(q url.Values) time.Duration {
 	budget := s.cfg.solveTimeout
-	if q := r.URL.Query().Get("timeout_ms"); q != "" {
+	if q := q.Get("timeout_ms"); q != "" {
 		if ms, err := strconv.ParseInt(q, 10, 64); err == nil {
 			d := time.Duration(ms) * time.Millisecond
 			if d < time.Millisecond {
@@ -653,174 +638,9 @@ func (s *server) solveBudget(r *http.Request) time.Duration {
 	return budget
 }
 
-func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	if s.compiled == nil {
-		http.Error(w, "no static instance configured (start minupd with -lattice/-constraints, or use /policies)", http.StatusNotFound)
-		return
-	}
-	ctx, adm, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer adm.release()
-
-	// Soft overload: the queue behind us is filling. Serve the secure
-	// baseline immediately instead of burning a full solve budget.
-	if s.cfg.degrade && s.gate.overloaded() {
-		s.serveDegraded(w, r, "overload", adm.budget)
-		return
-	}
-
-	ri := infoFrom(r.Context())
-	opt := core.Options{
-		Metrics:           s.reg,
-		CollectLatticeOps: r.URL.Query().Get("lattice_ops") == "1",
-		Fault:             s.cfg.fault,
-	}
-	if ri != nil && ri.flight != nil {
-		// Arm anomaly capture: the solver's event stream goes into a pooled
-		// buffer that is dumped if this request ends slow/errored/degraded
-		// and discarded otherwise.
-		opt.Sink = ri.flight.CaptureSink()
-	}
-	var root *obs.Span
-	var traceID string
-	if r.URL.Query().Get("trace") == "1" {
-		tr := obs.NewTracer()
-		root = tr.Start("request")
-		traceID = tr.TraceID()
-		ctx = obs.ContextWithSpan(ctx, root)
-		if ri != nil {
-			ri.traceID = traceID
-			if ri.flight != nil {
-				ri.flight.SetSpan(root)
-			}
-		}
-	}
-	res, err := core.SolveContext(ctx, s.compiled, opt)
-	if root != nil {
-		root.End()
-	}
-	if err != nil {
-		s.solveError(w, r, err, s.cfg.degrade, adm.budget)
-		return
-	}
-	lat := s.set.Lattice()
-	out := solveResponse{
-		Assignment: make(map[string]string, len(res.Assignment)),
-		TraceID:    traceID,
-	}
-	for _, a := range s.set.Attrs() {
-		out.Assignment[s.set.AttrName(a)] = lat.FormatLevel(res.Assignment[a])
-	}
-	out.Stats = newSolveStats(res.Stats)
-	if ri != nil {
-		ri.stats = flightStatsOf(res.Stats)
-	}
-	s.lastMinimalUpgraded.Store(int64(baseline.CountUpgraded(s.set, res.Assignment)))
-	writeJSON(w, http.StatusOK, out)
-}
-
-// flightStatsOf compresses the solver stats block into the flight record's
-// compact shape.
-func flightStatsOf(st core.Stats) obs.FlightStats {
-	return obs.FlightStats{
-		Tries:       st.Tries,
-		FailedTries: st.FailedTries,
-		Collapses:   st.Collapses,
-		TrySteps:    st.TrySteps,
-		SolveUS:     st.Duration.Microseconds(),
-	}
-}
-
-// solveError answers a failed static-instance solve (/solve, /trace). With
-// degrade set, a deadline miss serves the baseline instead, unless the
-// client already went away (nobody is reading a degraded answer); every
-// other failure goes through writeSolveError.
-func (s *server) solveError(w http.ResponseWriter, r *http.Request, err error, degrade bool, budget time.Duration) {
-	clientGone := r.Context().Err() != nil
-	if degrade && !clientGone && solveTimedOut(err) {
-		s.serveDegraded(w, r, "deadline", budget)
-		return
-	}
-	if ri := infoFrom(r.Context()); ri != nil && !clientGone {
-		ri.errText = err.Error()
-	}
-	if !writeSolveError(w, r, err) {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-// writeSolveError is minupd's one mapping of solver failures to statuses,
-// shared by the static and catalog routes: 408 when the client went away,
-// 504 when the solve budget expired, 422 for an unsolvable instance, and an
-// opaque 500 for a recovered solver panic (the solver logs the stack at
-// recovery; it never reaches the body). It writes nothing and reports false
-// for any other error.
-func writeSolveError(w http.ResponseWriter, r *http.Request, err error) bool {
-	switch {
-	case solveTimedOut(err) && r.Context().Err() != nil:
-		http.Error(w, err.Error(), http.StatusRequestTimeout)
-	case solveTimedOut(err):
-		http.Error(w, err.Error(), http.StatusGatewayTimeout)
-	case errors.Is(err, core.ErrUnsolvable):
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-	case errors.Is(err, core.ErrInternal):
-		http.Error(w, "internal solver error", http.StatusInternalServerError)
-	default:
-		return false
-	}
-	return true
-}
-
 // solveTimedOut reports a solve stopped by its deadline or cancellation.
 func solveTimedOut(err error) bool {
 	return errors.Is(err, core.ErrCanceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// serveDegraded answers with the Qian-baseline least fixpoint: satisfying
-// — hence safe to serve — but over-classified. The baseline runs on a
-// fresh budget detached from the (possibly already expired) solve
-// deadline, though still abandoned if the client disconnects.
-func (s *server) serveDegraded(w http.ResponseWriter, r *http.Request, reason string, budget time.Duration) {
-	start := time.Now()
-	qctx, cancel := context.WithTimeout(context.WithoutCancel(r.Context()), budget)
-	defer cancel()
-	m, err := baseline.QianContext(qctx, s.set)
-	if err != nil {
-		// No minimal answer and no baseline either — shed honestly.
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "degraded solve failed: "+err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	if err := core.Verify(s.set, m); err != nil {
-		// Defense in depth: never serve an unverified fallback.
-		http.Error(w, "degraded solve produced an invalid assignment: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	s.reg.Counter("solve.degraded").Inc()
-	s.reg.Counter("solve.degraded." + reason).Inc()
-	if ri := infoFrom(r.Context()); ri != nil {
-		ri.degraded = true
-		ri.degradeReason = reason
-	}
-	lat := s.set.Lattice()
-	out := solveResponse{
-		Assignment:    make(map[string]string, len(m)),
-		Degraded:      true,
-		DegradeReason: reason,
-		UpgradedAttrs: baseline.CountUpgraded(s.set, m),
-	}
-	for _, a := range s.set.Attrs() {
-		out.Assignment[s.set.AttrName(a)] = lat.FormatLevel(m[a])
-	}
-	if last := s.lastMinimalUpgraded.Load(); last >= 0 {
-		delta := out.UpgradedAttrs - int(last)
-		out.UpgradeDelta = &delta
-		s.reg.Gauge("solve.degraded.upgrade_delta").Set(int64(delta))
-	}
-	out.Stats.DurationUS = time.Since(start).Microseconds()
-	writeJSON(w, http.StatusOK, out)
 }
 
 // writeJSON answers with v as indented JSON under the given status: the
@@ -859,31 +679,10 @@ type traceResponse struct {
 	Spans   obs.SpanNode `json:"spans"`
 }
 
-func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if s.compiled == nil {
-		http.Error(w, "no static instance configured (start minupd with -lattice/-constraints, or use /policies)", http.StatusNotFound)
-		return
-	}
-	ctx, adm, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer adm.release()
-	tr := obs.NewTracer()
-	root := tr.Start("request")
-	if ri := infoFrom(r.Context()); ri != nil {
-		ri.traceID = tr.TraceID()
-	}
-	ctx = obs.ContextWithSpan(ctx, root)
-	_, err := core.SolveContext(ctx, s.compiled, core.Options{Metrics: s.reg, Fault: s.cfg.fault})
-	root.End()
-	if err != nil {
-		// /trace asks for the minimal solve's span tree, so it never
-		// degrades to the baseline.
-		s.solveError(w, r, err, false, 0)
-		return
-	}
-	switch r.URL.Query().Get("format") {
+// writeTrace answers /trace with the span tree of the solve it ran, in
+// the requested format (json, chrome, or flame).
+func writeTrace(w http.ResponseWriter, format, traceID string, root *obs.Span) {
+	switch format {
 	case "chrome":
 		w.Header().Set("Content-Type", "application/json")
 		obs.WriteChromeTrace(w, root)
@@ -891,7 +690,7 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		obs.WriteFlameSummary(w, root)
 	default:
-		writeJSON(w, http.StatusOK, traceResponse{TraceID: tr.TraceID(), Spans: root.Node(root.StartTime())})
+		writeJSON(w, http.StatusOK, traceResponse{TraceID: traceID, Spans: root.Node(root.StartTime())})
 	}
 }
 

@@ -1,20 +1,24 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
 	"minup/internal/catalog"
 	"minup/internal/constraint"
+	"minup/internal/lattice"
 	"minup/internal/obs"
 )
 
-// newTestServer builds a server over the Figure 2(a) fixture with the full
-// middleware stack and default serving policy, mirroring main().
+// newTestServer builds a pure policy-catalog server — minupd without
+// -lattice/-constraints — with the full middleware stack and default
+// serving policy, mirroring main().
 func newTestServer(t *testing.T) (*server, http.Handler, *strings.Builder) {
 	t.Helper()
 	return newTestServerCfg(t, defaultConfig())
@@ -24,17 +28,67 @@ func newTestServer(t *testing.T) (*server, http.Handler, *strings.Builder) {
 // the admission/degradation tests.
 func newTestServerCfg(t *testing.T, cfg config) (*server, http.Handler, *strings.Builder) {
 	t.Helper()
-	f := constraint.NewFigure2()
 	reg := obs.NewRegistry()
-	cat, err := catalog.Open(catalog.Options{Metrics: reg, Flight: cfg.flight})
+	cat, err := catalog.Open(catalog.Options{Metrics: reg, Flight: cfg.flight, Fault: cfg.fault})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cat.Close() })
-	srv := newServer(f.Set, f.Set.Compile(), cat, reg, cfg)
+	srv := newServer(cat, reg, cfg)
 	logBuf := &strings.Builder{}
 	logger := slog.New(slog.NewJSONHandler(logBuf, nil))
 	return srv, srv.routes(logger), logBuf
+}
+
+// The Figure 2(a) fixtures, the static instance the smoke scripts serve.
+const (
+	fig2Lattice     = "../../testdata/lattice_fig1b.txt"
+	fig2Constraints = "../../testdata/constraints_fig2.txt"
+)
+
+// newStaticServer is newTestServer started with -lattice/-constraints on
+// the Figure 2(a) fixtures: the instance is stored as the static policy the
+// way main stores it, and the boot refresh has finished, so its memo is
+// warm before the first request.
+func newStaticServer(t *testing.T) (*server, http.Handler, *strings.Builder) {
+	t.Helper()
+	return newStaticServerCfg(t, defaultConfig())
+}
+
+// newStaticServerCfg is newStaticServer with an explicit serving policy.
+func newStaticServerCfg(t *testing.T, cfg config) (*server, http.Handler, *strings.Builder) {
+	t.Helper()
+	srv, h, logBuf := newTestServerCfg(t, cfg)
+	if _, err := storeStatic(srv.cat, fig2Lattice, fig2Constraints); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.cat.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return srv, h, logBuf
+}
+
+// fig2Set parses the Figure 2(a) fixtures independently of the server, as
+// the oracle degraded answers are verified against.
+func fig2Set(t *testing.T) *constraint.Set {
+	t.Helper()
+	lat, err := os.ReadFile(fig2Lattice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cons, err := os.ReadFile(fig2Constraints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := lattice.Parse(strings.NewReader(string(lat)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := constraint.NewSet(l)
+	if err := set.ParseString(string(cons)); err != nil {
+		t.Fatal(err)
+	}
+	return set
 }
 
 func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
@@ -45,7 +99,7 @@ func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
 }
 
 func TestSolveEndpoint(t *testing.T) {
-	_, h, _ := newTestServer(t)
+	_, h, _ := newStaticServer(t)
 	rec := get(t, h, "/solve")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /solve = %d: %s", rec.Code, rec.Body.String())
@@ -56,9 +110,12 @@ func TestSolveEndpoint(t *testing.T) {
 	if rec.Header().Get("X-Request-Id") == "" {
 		t.Fatal("no X-Request-Id header")
 	}
-	var out solveResponse
+	var out policySolveResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 		t.Fatal(err)
+	}
+	if out.Name != staticPolicy || out.CacheHit {
+		t.Fatalf("/solve answered policy %q cache_hit=%v, want a fresh solve of %q", out.Name, out.CacheHit, staticPolicy)
 	}
 	if out.Assignment["B"] != "L5" {
 		t.Fatalf("λ(B) = %q, want L5", out.Assignment["B"])
@@ -69,12 +126,12 @@ func TestSolveEndpoint(t *testing.T) {
 }
 
 func TestSolveEndpointTraced(t *testing.T) {
-	_, h, logBuf := newTestServer(t)
+	_, h, logBuf := newStaticServer(t)
 	rec := get(t, h, "/solve?trace=1")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /solve?trace=1 = %d: %s", rec.Code, rec.Body.String())
 	}
-	var out solveResponse
+	var out policySolveResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +144,7 @@ func TestSolveEndpointTraced(t *testing.T) {
 }
 
 func TestMethodNotAllowed(t *testing.T) {
-	_, h, _ := newTestServer(t)
+	_, h, _ := newStaticServer(t)
 	for _, path := range []string{"/solve", "/metrics", "/healthz", "/readyz", "/trace"} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader("{}")))
@@ -101,7 +158,10 @@ func TestMethodNotAllowed(t *testing.T) {
 }
 
 func TestMetricsEndpointJSON(t *testing.T) {
-	_, h, _ := newTestServer(t)
+	srv, h, _ := newStaticServer(t)
+	// The boot refresh solved the static policy once already (the helper
+	// flushed it), so the request's own solve is the delta.
+	before := srv.reg.Snapshot().Counters["solve.count"]
 	get(t, h, "/solve")
 	rec := get(t, h, "/metrics")
 	if rec.Code != http.StatusOK {
@@ -114,8 +174,8 @@ func TestMetricsEndpointJSON(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Counters["solve.count"] != 1 {
-		t.Fatalf("solve.count = %d, want 1", snap.Counters["solve.count"])
+	if got := snap.Counters["solve.count"] - before; got != 1 {
+		t.Fatalf("solve.count moved by %d over one /solve, want 1", got)
 	}
 	if _, ok := snap.Gauges["solve.pool.sessions"]; !ok {
 		t.Fatalf("gauges %v missing solve.pool.sessions", snap.Gauges)
@@ -126,7 +186,7 @@ func TestMetricsEndpointJSON(t *testing.T) {
 }
 
 func TestMetricsEndpointPrometheus(t *testing.T) {
-	_, h, _ := newTestServer(t)
+	_, h, _ := newStaticServer(t)
 	get(t, h, "/solve")
 	rec := get(t, h, "/metrics?format=prometheus")
 	if rec.Code != http.StatusOK {
@@ -165,7 +225,7 @@ func TestMetricsPreRegisteredBeforeTraffic(t *testing.T) {
 }
 
 func TestTraceEndpointJSON(t *testing.T) {
-	_, h, _ := newTestServer(t)
+	_, h, _ := newStaticServer(t)
 	rec := get(t, h, "/trace")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /trace = %d: %s", rec.Code, rec.Body.String())
@@ -189,7 +249,7 @@ func TestTraceEndpointJSON(t *testing.T) {
 }
 
 func TestTraceEndpointChromeAndFlame(t *testing.T) {
-	_, h, _ := newTestServer(t)
+	_, h, _ := newStaticServer(t)
 	rec := get(t, h, "/trace?format=chrome")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /trace?format=chrome = %d", rec.Code)
@@ -236,7 +296,7 @@ func TestRequestIDEchoed(t *testing.T) {
 }
 
 func TestStatusClassCounters(t *testing.T) {
-	srv, h, _ := newTestServer(t)
+	srv, h, _ := newStaticServer(t)
 	get(t, h, "/solve")
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/solve", nil))
@@ -253,7 +313,7 @@ func TestStatusClassCounters(t *testing.T) {
 }
 
 func TestAccessLogShape(t *testing.T) {
-	_, h, logBuf := newTestServer(t)
+	_, h, logBuf := newStaticServer(t)
 	get(t, h, "/solve")
 	var line map[string]any
 	if err := json.Unmarshal([]byte(strings.SplitN(logBuf.String(), "\n", 2)[0]), &line); err != nil {

@@ -1,8 +1,8 @@
-// The /policies surface: the stateful side of minupd. Where /solve serves
-// one constraint set compiled at boot, these routes manage a durable
-// sharded catalog of named, versioned policies — created and replaced with
-// PUT, refined with constraint appends, and served from a per-version
-// memoized solve cache.
+// The /policies surface: the stateful side of minupd. These routes manage a
+// durable sharded catalog of named, versioned policies — created and
+// replaced with PUT, refined with constraint appends, and served from a
+// per-version memoized solve cache. /solve and /trace are aliases of the
+// solve route for the static policy stored from -lattice/-constraints.
 //
 // Mutations answer as soon as the record is durable and the new version is
 // visible; the solver work (compile, memoized solve, incremental repair)
@@ -19,15 +19,20 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
+	"time"
 
+	"minup/internal/baseline"
 	"minup/internal/catalog"
 	"minup/internal/core"
+	"minup/internal/obs"
 )
 
 // maxPolicyBody bounds PUT/POST request bodies; policy source texts are
@@ -69,13 +74,25 @@ type policyAppendResponse struct {
 	RefreshPending   bool `json:"refresh_pending,omitempty"`
 }
 
-// policySolveResponse is the JSON answer of GET/POST /policies/{name}/solve.
+// policySolveResponse is the JSON answer of GET/POST /policies/{name}/solve
+// and of its /solve alias.
 type policySolveResponse struct {
 	Name       string            `json:"name"`
 	Version    uint64            `json:"version"`
 	CacheHit   bool              `json:"cache_hit"`
 	Assignment map[string]string `json:"assignment"`
 	Stats      solveStats        `json:"stats"`
+	TraceID    string            `json:"trace_id,omitempty"`
+
+	// A degraded answer comes from the Qian baseline: it satisfies every
+	// constraint but over-classifies. DegradeReason is "deadline" or
+	// "overload"; UpgradedAttrs counts attributes above bottom, and
+	// UpgradeDelta compares that with the version's memoized minimal
+	// answer (absent while none is memoized).
+	Degraded      bool   `json:"degraded,omitempty"`
+	DegradeReason string `json:"degrade_reason,omitempty"`
+	UpgradedAttrs int    `json:"upgraded_attrs,omitempty"`
+	UpgradeDelta  *int   `json:"upgrade_delta,omitempty"`
 }
 
 // etag formats a policy version as a strong entity tag.
@@ -83,8 +100,8 @@ func etag(version uint64) string { return `"` + strconv.FormatUint(version, 10) 
 
 // mutateOptionsFrom reads the ?wait=1 query knob: wait forces the solver
 // refresh to run inline on this request instead of a shard worker.
-func mutateOptionsFrom(r *http.Request) catalog.MutateOptions {
-	switch r.URL.Query().Get("wait") {
+func mutateOptionsFrom(q url.Values) catalog.MutateOptions {
+	switch q.Get("wait") {
 	case "1", "true":
 		return catalog.MutateOptions{Wait: true}
 	}
@@ -125,10 +142,13 @@ func decodePolicyBody(w http.ResponseWriter, r *http.Request, dst *policyRequest
 	return true
 }
 
-// policyError maps a catalog error to its status: 404 unknown name, 409
-// create-only conflict, 412 lost version race, 500 storage failure, 503
-// catalog closed (shutdown), solver failures as writeSolveError maps them,
-// and 400 for everything else (bad names, unparseable source text).
+// policyError is minupd's one mapping of catalog and solver errors to
+// statuses: 404 unknown name, 409 create-only conflict, 412 lost version
+// race, 500 storage failure, 503 catalog closed (shutdown), 408 when the
+// client went away mid-solve, 504 when the solve budget expired, 422 for an
+// unsolvable instance, an opaque 500 for a recovered solver panic (the
+// solver logs the stack at recovery; it never reaches the body), and 400
+// for everything else (bad names, unparseable source text).
 func (s *server) policyError(w http.ResponseWriter, r *http.Request, err error) {
 	if ri := infoFrom(r.Context()); ri != nil {
 		ri.errText = err.Error()
@@ -146,10 +166,16 @@ func (s *server) policyError(w http.ResponseWriter, r *http.Request, err error) 
 		// The catalog only closes during shutdown; tell the client to go
 		// elsewhere rather than blaming the request.
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+	case solveTimedOut(err) && r.Context().Err() != nil:
+		http.Error(w, err.Error(), http.StatusRequestTimeout)
+	case solveTimedOut(err):
+		http.Error(w, err.Error(), http.StatusGatewayTimeout)
+	case errors.Is(err, core.ErrUnsolvable):
+		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+	case errors.Is(err, core.ErrInternal):
+		http.Error(w, "internal solver error", http.StatusInternalServerError)
 	default:
-		if !writeSolveError(w, r, err) {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-		}
+		http.Error(w, err.Error(), http.StatusBadRequest)
 	}
 }
 
@@ -170,17 +196,18 @@ func (s *server) writeGate(w http.ResponseWriter, r *http.Request) (ifVersion in
 
 // storePolicy is the store sequence shared by PUT /policies/{name} and
 // POST /problems/{family} once the handler has passed writeGate and
-// decoded its body: ?wait=1 admission (an inline refresh compiles and
-// solves, so it takes a gate slot and the solve budget), the catalog Put
-// with its cluster sequence number, the majority barrier, and the ETag. It
-// returns the stored version and its status (201 for a new policy, 200 for
-// a replacement), or ok=false once it has answered the request itself.
-func (s *server) storePolicy(w http.ResponseWriter, r *http.Request, name, latticeText, constraintText string, ifVersion int64) (info catalog.PolicyInfo, status int, ok bool) {
-	opts := mutateOptionsFrom(r)
+// decoded its body (q is the request's parsed query): ?wait=1 admission (an
+// inline refresh compiles and solves, so it takes a gate slot and the solve
+// budget), the catalog Put with its cluster sequence number, the majority
+// barrier, and the ETag. It returns the stored version and its status (201
+// for a new policy, 200 for a replacement), or ok=false once it has answered
+// the request itself.
+func (s *server) storePolicy(w http.ResponseWriter, r *http.Request, q url.Values, name, latticeText, constraintText string, ifVersion int64) (info catalog.PolicyInfo, status int, ok bool) {
+	opts := mutateOptionsFrom(q)
 	ctx := r.Context()
 	if opts.Wait {
 		var adm admission
-		if ctx, adm, ok = s.admit(w, r); !ok {
+		if ctx, adm, ok = s.admit(w, r, q); !ok {
 			return info, 0, false
 		}
 		defer adm.release()
@@ -243,7 +270,7 @@ func (s *server) handlePolicyPut(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `body must carry both "lattice" and "constraints" text`, http.StatusBadRequest)
 		return
 	}
-	info, status, ok := s.storePolicy(w, r, r.PathValue("name"), req.Lattice, req.Constraints, ifVersion)
+	info, status, ok := s.storePolicy(w, r, r.URL.Query(), r.PathValue("name"), req.Lattice, req.Constraints, ifVersion)
 	if !ok {
 		return
 	}
@@ -274,7 +301,7 @@ func (s *server) handlePolicyDelete(w http.ResponseWriter, r *http.Request) {
 // handlePolicyAppend runs POST /policies/{name}/constraints. Appends do
 // solver work — at least the solvability check, and with ?wait=1 the full
 // inline repair — so they pass the same admission gate and solve budget as
-// /solve.
+// the solve routes.
 func (s *server) handlePolicyAppend(w http.ResponseWriter, r *http.Request) {
 	ifVersion, ok := s.writeGate(w, r)
 	if !ok {
@@ -288,7 +315,8 @@ func (s *server) handlePolicyAppend(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `body must carry "constraints" text`, http.StatusBadRequest)
 		return
 	}
-	ctx, adm, ok := s.admit(w, r)
+	q := r.URL.Query()
+	ctx, adm, ok := s.admit(w, r, q)
 	if !ok {
 		return
 	}
@@ -296,7 +324,7 @@ func (s *server) handlePolicyAppend(w http.ResponseWriter, r *http.Request) {
 	if ri := infoFrom(r.Context()); ri != nil {
 		ri.policy = r.PathValue("name")
 	}
-	opts := mutateOptionsFrom(r)
+	opts := mutateOptionsFrom(q)
 	var seq uint64
 	if s.cfg.cluster.node != nil {
 		opts.SeqOut = &seq
@@ -323,41 +351,141 @@ func (s *server) handlePolicyAppend(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handlePolicySolve serves GET/POST /policies/{name}/solve from the
-// catalog's memoized cache; only a cache miss (the first solve of a
-// version) compiles and solves, under the admission gate's budget.
-func (s *server) handlePolicySolve(w http.ResponseWriter, r *http.Request) {
-	ctx, adm, ok := s.admit(w, r)
+// The solve routes: GET/POST /policies/{name}/solve, and its /solve and
+// /trace aliases for the static policy, which solve afresh on every
+// request (/trace answers with the span tree and never degrades).
+const (
+	policyRoute = iota
+	solveRoute
+	traceRoute
+)
+
+// solvePolicy is minupd's one solve-serving path. Behind the admission
+// gate it answers from the catalog: a memo hit costs no solve, while a
+// fresh solve (the aliases, ?trace=1, ?lattice_ops=1) runs in full and
+// leaves the memo alone. Unless degradation is off, a request past the
+// gate's soft overload threshold that the memo cannot answer, and a solve
+// that misses its deadline, get the Qian baseline instead.
+func (s *server) solvePolicy(w http.ResponseWriter, r *http.Request, name string, route int) {
+	q := r.URL.Query()
+	ctx, adm, ok := s.admit(w, r, q)
 	if !ok {
 		return
 	}
 	defer adm.release()
+	traced := route == traceRoute || q.Get("trace") == "1"
+	opt := catalog.SolveOptions{LatticeOps: q.Get("lattice_ops") == "1"}
+	opt.Fresh = route != policyRoute || traced || opt.LatticeOps
+	degrade := s.cfg.degrade && route != traceRoute
+	// Soft overload: the queue behind us is filling, so only the memo may
+	// answer instead of a solve burning its full budget.
+	opt.CacheOnly = degrade && s.gate.overloaded()
 	ri := infoFrom(r.Context())
 	if ri != nil {
-		ri.policy = r.PathValue("name")
+		ri.policy = name
+		if ri.flight != nil {
+			// Arm anomaly capture for any solve the catalog runs: its event
+			// stream is dumped if this request ends slow, errored or
+			// degraded.
+			opt.Capture = ri.flight
+		}
 	}
-	res, err := s.cat.Solve(ctx, r.PathValue("name"))
-	if err != nil {
+	var root *obs.Span
+	var traceID string
+	if traced && !opt.CacheOnly {
+		tr := obs.NewTracer()
+		root, traceID = tr.Start("request"), tr.TraceID()
+		ctx = obs.ContextWithSpan(ctx, root)
+		if ri != nil {
+			ri.traceID = traceID
+			if ri.flight != nil {
+				ri.flight.SetSpan(root)
+			}
+		}
+	}
+	res, err := s.cat.Solve(ctx, name, opt)
+	if root != nil {
+		root.End()
+	}
+	switch {
+	case opt.CacheOnly && err == nil && (opt.Fresh || !res.CacheHit):
+		s.serveDegraded(w, r, res, "overload", adm.budget)
+	case degrade && res.Set != nil && r.Context().Err() == nil && solveTimedOut(err):
+		// A deadline miss degrades unless the client already went away.
+		s.serveDegraded(w, r, res, "deadline", adm.budget)
+	case err != nil:
 		s.policyError(w, r, err)
-		return
+	default:
+		if ri != nil {
+			ri.shard, ri.cacheHit = res.Info.Shard, res.CacheHit
+			ri.stats = obs.FlightStats{
+				Tries:       res.Stats.Tries,
+				FailedTries: res.Stats.FailedTries,
+				Collapses:   res.Stats.Collapses,
+				TrySteps:    res.Stats.TrySteps,
+				SolveUS:     res.Stats.Duration.Microseconds(),
+			}
+		}
+		if route == traceRoute {
+			writeTrace(w, q.Get("format"), traceID, root)
+			return
+		}
+		w.Header().Set("ETag", etag(res.Info.Version))
+		writeJSON(w, http.StatusOK, policySolveResponse{
+			Name:       res.Info.Name,
+			Version:    res.Info.Version,
+			CacheHit:   res.CacheHit,
+			Assignment: res.Assignment,
+			Stats:      newSolveStats(res.Stats),
+			TraceID:    traceID,
+		})
 	}
-	if ri != nil {
-		ri.shard = res.Info.Shard
-		ri.cacheHit = res.CacheHit
-		ri.stats = flightStatsOf(res.Stats)
-	}
-	w.Header().Set("ETag", etag(res.Info.Version))
-	writeJSON(w, http.StatusOK, policySolveResponse{
-		Name:       res.Info.Name,
-		Version:    res.Info.Version,
-		CacheHit:   res.CacheHit,
-		Assignment: res.Assignment,
-		Stats:      newSolveStats(res.Stats),
-	})
 }
 
-// newSolveStats maps the solver's stats block to its JSON shape, shared by
-// /solve and /policies/{name}/solve.
+// serveDegraded answers with the Qian-baseline least fixpoint (§4 of the
+// paper) for the version res describes: satisfying — hence safe to serve —
+// but over-classified. The baseline runs on a fresh budget detached from
+// the (possibly already expired) solve deadline, though still abandoned if
+// the client disconnects.
+func (s *server) serveDegraded(w http.ResponseWriter, r *http.Request, res catalog.SolveResult, reason string, budget time.Duration) {
+	start := time.Now()
+	qctx, cancel := context.WithTimeout(context.WithoutCancel(r.Context()), budget)
+	defer cancel()
+	m, err := baseline.QianContext(qctx, res.Set)
+	if err != nil {
+		// No minimal answer and no baseline either — shed honestly.
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, "degraded solve failed: "+err.Error(), http.StatusServiceUnavailable)
+		return
+	}
+	if err := core.Verify(res.Set, m); err != nil {
+		// Defense in depth: never serve an unverified fallback.
+		http.Error(w, "degraded solve produced an invalid assignment: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	s.reg.Counter("solve.degraded").Inc()
+	s.reg.Counter("solve.degraded." + reason).Inc()
+	if ri := infoFrom(r.Context()); ri != nil {
+		ri.degraded, ri.degradeReason = true, reason
+	}
+	out := policySolveResponse{
+		Name:          res.Info.Name,
+		Version:       res.Info.Version,
+		Assignment:    catalog.FormatAssignment(res.Set, m),
+		Degraded:      true,
+		DegradeReason: reason,
+		UpgradedAttrs: baseline.CountUpgraded(res.Set, m),
+	}
+	if res.Memo != nil {
+		delta := out.UpgradedAttrs - baseline.CountUpgraded(res.Set, res.Memo)
+		out.UpgradeDelta = &delta
+		s.reg.Gauge("solve.degraded.upgrade_delta").Set(int64(delta))
+	}
+	out.Stats.DurationUS = time.Since(start).Microseconds()
+	writeJSON(w, http.StatusOK, out)
+}
+
+// newSolveStats maps the solver's stats block to its JSON shape.
 func newSolveStats(st core.Stats) solveStats {
 	return solveStats{
 		Tries:          st.Tries,

@@ -81,11 +81,12 @@ func (s *server) handleProblemCreate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	q := r.URL.Query()
 	name := inst.InstanceName()
-	if q := r.URL.Query().Get("name"); q != "" {
-		name = q
+	if n := q.Get("name"); n != "" {
+		name = n
 	}
-	info, status, ok := s.storePolicy(w, r, name, c.LatticeText, c.ConstraintText, ifVersion)
+	info, status, ok := s.storePolicy(w, r, q, name, c.LatticeText, c.ConstraintText, ifVersion)
 	if !ok {
 		return
 	}

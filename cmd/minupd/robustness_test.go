@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"minup/internal/baseline"
+	"minup/internal/catalog"
 	"minup/internal/constraint"
 	"minup/internal/core"
 	"minup/internal/fault"
@@ -64,7 +67,7 @@ func TestSolveShedWhenSaturated(t *testing.T) {
 	cfg := defaultConfig()
 	cfg.maxInflight = 1
 	cfg.maxQueue = 0
-	srv, h, _ := newTestServerCfg(t, cfg)
+	srv, h, _ := newStaticServerCfg(t, cfg)
 
 	// Occupy the only slot, as a long-running solve would.
 	srv.gate.sem <- struct{}{}
@@ -87,7 +90,7 @@ func TestSolveShedWhenSaturated(t *testing.T) {
 }
 
 func TestSolveShedWhileDraining(t *testing.T) {
-	srv, h, _ := newTestServer(t)
+	srv, h, _ := newStaticServer(t)
 	srv.draining.Store(true)
 	rec := get(t, h, "/solve")
 	if rec.Code != http.StatusServiceUnavailable {
@@ -99,13 +102,13 @@ func TestSolveShedWhileDraining(t *testing.T) {
 }
 
 // decodeDegraded asserts a 200 degraded response with the given reason and
-// returns it after re-verifying the served assignment against the set.
-func decodeDegraded(t *testing.T, srv *server, rec *httptest.ResponseRecorder, reason string) solveResponse {
+// returns it after re-verifying the served assignment against set.
+func decodeDegraded(t *testing.T, set *constraint.Set, rec *httptest.ResponseRecorder, reason string) policySolveResponse {
 	t.Helper()
 	if rec.Code != http.StatusOK {
 		t.Fatalf("degraded solve = %d: %s", rec.Code, rec.Body.String())
 	}
-	var out solveResponse
+	var out policySolveResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 		t.Fatal(err)
 	}
@@ -114,30 +117,32 @@ func decodeDegraded(t *testing.T, srv *server, rec *httptest.ResponseRecorder, r
 	}
 	// The degraded answer must still satisfy every constraint: parse the
 	// served levels back and check.
-	lat := srv.set.Lattice()
+	lat := set.Lattice()
 	m := make(constraint.Assignment, len(out.Assignment))
-	for _, a := range srv.set.Attrs() {
-		lvl, err := lat.ParseLevel(out.Assignment[srv.set.AttrName(a)])
+	for _, a := range set.Attrs() {
+		lvl, err := lat.ParseLevel(out.Assignment[set.AttrName(a)])
 		if err != nil {
-			t.Fatalf("served level %q: %v", out.Assignment[srv.set.AttrName(a)], err)
+			t.Fatalf("served level %q: %v", out.Assignment[set.AttrName(a)], err)
 		}
 		m[a] = lvl
 	}
-	if err := core.Verify(srv.set, m); err != nil {
+	if err := core.Verify(set, m); err != nil {
 		t.Fatalf("degraded assignment does not verify: %v", err)
 	}
 	return out
 }
 
 func TestSolveDegradesOnDeadline(t *testing.T) {
-	srv, h, _ := newTestServerCfg(t, slowCfg(t, 30*time.Millisecond, 10*time.Millisecond))
+	srv, h, _ := newStaticServerCfg(t, slowCfg(t, 30*time.Millisecond, 10*time.Millisecond))
 	rec := get(t, h, "/solve")
-	out := decodeDegraded(t, srv, rec, "deadline")
+	out := decodeDegraded(t, fig2Set(t), rec, "deadline")
 	if out.UpgradedAttrs <= 0 {
 		t.Fatalf("degraded response reports %d upgraded attrs", out.UpgradedAttrs)
 	}
-	if out.UpgradeDelta != nil {
-		t.Fatalf("upgrade_delta %d before any minimal solve", *out.UpgradeDelta)
+	// The boot refresh ran without a deadline and memoized the minimal
+	// answer, so the delta is measured against it.
+	if want := out.UpgradedAttrs - memoUpgraded(t, srv, staticPolicy); out.UpgradeDelta == nil || *out.UpgradeDelta != want {
+		t.Fatalf("upgrade_delta = %v, want %d against the memoized answer", out.UpgradeDelta, want)
 	}
 	snap := srv.reg.Snapshot()
 	if snap.Counters["solve.degraded"] != 1 || snap.Counters["solve.degraded.deadline"] != 1 {
@@ -146,31 +151,41 @@ func TestSolveDegradesOnDeadline(t *testing.T) {
 }
 
 func TestSolveDegradesOnOverload(t *testing.T) {
-	srv, h, _ := newTestServer(t)
+	srv, h, _ := newStaticServer(t)
 	srv.gate.queued.Add(srv.gate.softQueue)
 	defer srv.gate.queued.Add(-srv.gate.softQueue)
 	rec := get(t, h, "/solve")
-	decodeDegraded(t, srv, rec, "overload")
+	decodeDegraded(t, fig2Set(t), rec, "overload")
 	if got := srv.reg.Snapshot().Counters["solve.degraded.overload"]; got != 1 {
 		t.Fatalf("solve.degraded.overload = %d, want 1", got)
 	}
 }
 
+// memoUpgraded counts the attributes above bottom in the minimal answer
+// memoized for the policy's current version.
+func memoUpgraded(t *testing.T, srv *server, name string) int {
+	t.Helper()
+	res, err := srv.cat.Solve(context.Background(), name, catalog.SolveOptions{CacheOnly: true})
+	if err != nil || res.Memo == nil {
+		t.Fatalf("policy %q has no memoized answer (err %v)", name, err)
+	}
+	return baseline.CountUpgraded(res.Set, res.Memo)
+}
+
 func TestUpgradeDeltaAgainstLastMinimalSolve(t *testing.T) {
 	// A minimal solve first, then a forced-degraded one: the degraded
-	// response must report its over-classification cost as a delta.
-	srv, h, _ := newTestServer(t)
+	// response must report its over-classification cost as a delta against
+	// the minimal answer memoized for the same version.
+	srv, h, _ := newStaticServer(t)
 	if rec := get(t, h, "/solve"); rec.Code != http.StatusOK {
 		t.Fatalf("minimal solve = %d", rec.Code)
 	}
-	if last := srv.lastMinimalUpgraded.Load(); last < 0 {
-		t.Fatalf("lastMinimalUpgraded = %d after a successful solve", last)
-	}
 	srv.gate.queued.Add(srv.gate.softQueue)
 	defer srv.gate.queued.Add(-srv.gate.softQueue)
-	out := decodeDegraded(t, srv, get(t, h, "/solve"), "overload")
-	if out.UpgradeDelta == nil {
-		t.Fatal("no upgrade_delta after a prior minimal solve")
+	out := decodeDegraded(t, fig2Set(t), get(t, h, "/solve"), "overload")
+	memo := memoUpgraded(t, srv, staticPolicy)
+	if out.UpgradeDelta == nil || *out.UpgradeDelta != out.UpgradedAttrs-memo {
+		t.Fatalf("upgrade_delta = %v, want %d - %d", out.UpgradeDelta, out.UpgradedAttrs, memo)
 	}
 	if *out.UpgradeDelta < 0 {
 		t.Fatalf("upgrade_delta = %d; Qian can never upgrade fewer attrs than minimal", *out.UpgradeDelta)
@@ -181,15 +196,15 @@ func TestSolveTimeoutQueryClamped(t *testing.T) {
 	// ?timeout_ms may shrink the budget but never grow it past the flag.
 	srv, _, _ := newTestServerCfg(t, slowCfg(t, time.Millisecond, 50*time.Millisecond))
 	req := httptest.NewRequest(http.MethodGet, "/solve?timeout_ms=999999", nil)
-	if got := srv.solveBudget(req); got != 50*time.Millisecond {
+	if got := srv.solveBudget(req.URL.Query()); got != 50*time.Millisecond {
 		t.Fatalf("budget = %s, want clamp to 50ms", got)
 	}
 	req = httptest.NewRequest(http.MethodGet, "/solve?timeout_ms=0", nil)
-	if got := srv.solveBudget(req); got != time.Millisecond {
+	if got := srv.solveBudget(req.URL.Query()); got != time.Millisecond {
 		t.Fatalf("budget = %s, want floor 1ms", got)
 	}
 	req = httptest.NewRequest(http.MethodGet, "/solve?timeout_ms=7", nil)
-	if got := srv.solveBudget(req); got != 7*time.Millisecond {
+	if got := srv.solveBudget(req.URL.Query()); got != 7*time.Millisecond {
 		t.Fatalf("budget = %s, want 7ms", got)
 	}
 }
@@ -197,7 +212,7 @@ func TestSolveTimeoutQueryClamped(t *testing.T) {
 func TestDeadlineWithoutDegradeIs504(t *testing.T) {
 	cfg := slowCfg(t, 30*time.Millisecond, 10*time.Millisecond)
 	cfg.degrade = false
-	_, h, _ := newTestServerCfg(t, cfg)
+	_, h, _ := newStaticServerCfg(t, cfg)
 	rec := get(t, h, "/solve")
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("deadline with -degrade=false = %d: %s", rec.Code, rec.Body.String())
@@ -207,14 +222,15 @@ func TestDeadlineWithoutDegradeIs504(t *testing.T) {
 func TestSolverPanicAnswers500(t *testing.T) {
 	// A fault-injected solver panic must surface as an opaque 500 (the
 	// recovery guard in core converts it to a typed internal error), never
-	// crash the server, and leave the next solve working.
-	inj, err := fault.ParseSpec("solve.step:panic:1", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// crash the server, and leave the next solve working. The rule is armed
+	// after boot so the boot refresh's solve does not consume it.
+	inj := fault.New(1)
 	cfg := defaultConfig()
 	cfg.fault = inj
-	_, h, _ := newTestServerCfg(t, cfg)
+	_, h, _ := newStaticServerCfg(t, cfg)
+	if err := inj.Rearm("solve.step:panic:1"); err != nil {
+		t.Fatal(err)
+	}
 	rec := get(t, h, "/solve")
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("panicking solve = %d: %s", rec.Code, rec.Body.String())
@@ -275,7 +291,7 @@ func TestMiddlewarePanicRecovery(t *testing.T) {
 // a real listener: an in-flight slow /solve must complete while the
 // draining server refuses new work and reports not-ready.
 func TestGracefulShutdownDrainsInFlight(t *testing.T) {
-	srv, h, _ := newTestServerCfg(t, slowCfg(t, 20*time.Millisecond, 2*time.Second))
+	srv, h, _ := newStaticServerCfg(t, slowCfg(t, 20*time.Millisecond, 2*time.Second))
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 

@@ -832,7 +832,8 @@ func (c *Catalog) Bus() *bus.Bus { return c.bus }
 // SolveResult is the answer of Catalog.Solve.
 type SolveResult struct {
 	Info PolicyInfo
-	// Assignment maps attribute names to formatted level names.
+	// Assignment maps attribute names to formatted level names (nil for a
+	// CacheOnly call that found no memoized answer).
 	Assignment map[string]string
 	// Stats are the operation counts of the solve that produced the
 	// memoized answer (a cache hit returns the original solve's stats).
@@ -840,6 +841,27 @@ type SolveResult struct {
 	// CacheHit reports that the answer came from the memoized cache: zero
 	// compiles and zero solves were performed by this call.
 	CacheHit bool
+	// Set is the version's constraint set and Memo its memoized minimal
+	// solution (nil while cold). Both are immutable once installed, so a
+	// caller may, say, run the Qian baseline on the same version.
+	Set  *constraint.Set
+	Memo constraint.Assignment
+}
+
+// SolveOptions tunes one Solve call.
+type SolveOptions struct {
+	// Fresh solves even when the answer is memoized: the compiled snapshot
+	// is taken under the shard lock, the solve runs outside it, and its
+	// answer is never memoized.
+	Fresh bool
+	// CacheOnly never solves: without a memoized answer the result carries
+	// only Info, Set and a nil Assignment. It overrides Fresh.
+	CacheOnly bool
+	// Capture, when non-nil, supplies the event sink of a solve this call
+	// runs (obs.ActiveFlight implements it); a cache hit never asks.
+	Capture interface{ CaptureSink() obs.EventSink }
+	// LatticeOps counts lattice operations into that solve's stats.
+	LatticeOps bool
 }
 
 // Solve returns the minimal classification for the policy's current
@@ -849,63 +871,106 @@ type SolveResult struct {
 // its event was dropped — is filled here under the shard's write lock,
 // compiling the snapshot (at most once per version, "catalog.compiles",
 // fault point "catalog.compile") and running one cold solve ("solve.cold",
-// "catalog.cache_misses"), then memoizing.
-func (c *Catalog) Solve(ctx context.Context, name string) (SolveResult, error) {
+// "catalog.cache_misses"), then memoizing. SolveOptions asks for a fresh
+// solve ("catalog.fresh_solves") or a cache-only lookup instead. A solver
+// error comes back with the version's Info, Set and Memo, so the caller
+// can fall back to a baseline answer.
+func (c *Catalog) Solve(ctx context.Context, name string, opts ...SolveOptions) (SolveResult, error) {
+	var opt SolveOptions
+	if len(opts) > 0 {
+		opt = opts[0]
+	}
+	fresh := opt.Fresh && !opt.CacheOnly
 	s := c.shardFor(name)
 	s.mu.RLock()
 	p := s.pol[name]
-	if p != nil && p.solved != nil {
-		res := solveResult(p, true)
+	if p != nil && (opt.CacheOnly || p.solved != nil && !fresh) {
+		res := solveResult(p)
 		s.mu.RUnlock()
-		c.count("catalog.cache_hits")
+		if res.CacheHit {
+			c.count("catalog.cache_hits")
+		}
 		return res, nil
 	}
 	s.mu.RUnlock()
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Double-check under the write lock: the policy may have been mutated,
-	// deleted, or warmed since the read lock was dropped.
-	p = s.pol[name]
-	if p == nil {
-		return SolveResult{}, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	if p.solved != nil {
-		c.count("catalog.cache_hits")
-		return solveResult(p, true), nil
-	}
-	c.count("catalog.cache_misses")
-	if p.compiled == nil {
-		if err := c.opt.Fault.Hit("catalog.compile"); err != nil {
-			return SolveResult{}, fmt.Errorf("catalog: compiling %q: %w", name, err)
+	var compiled *constraint.Compiled
+	out, err := func() (SolveResult, error) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		// Double-check under the write lock: the policy may have been
+		// mutated, deleted, or warmed since the read lock was dropped.
+		p = s.pol[name]
+		if p == nil {
+			return SolveResult{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 		}
-		p.compiled = p.set.Snapshot()
-		c.count("catalog.compiles")
+		if p.solved != nil && !fresh {
+			c.count("catalog.cache_hits")
+			return solveResult(p), nil
+		}
+		if !fresh {
+			c.count("catalog.cache_misses")
+		}
+		if p.compiled == nil {
+			if err := c.opt.Fault.Hit("catalog.compile"); err != nil {
+				return SolveResult{}, fmt.Errorf("catalog: compiling %q: %w", name, err)
+			}
+			p.compiled = p.set.Snapshot()
+			c.count("catalog.compiles")
+		}
+		if fresh {
+			compiled = p.compiled
+			return SolveResult{Info: p.info(), Set: p.set, Memo: p.solved}, nil
+		}
+		c.count("solve.cold")
+		res, err := core.SolveContext(ctx, p.compiled, c.coreOptions(opt))
+		if err != nil {
+			return SolveResult{Info: p.info(), Set: p.set}, err
+		}
+		p.solved, p.solvedStats = res.Assignment, res.Stats
+		out := solveResult(p)
+		out.CacheHit = false
+		return out, nil
+	}()
+	if compiled == nil || err != nil {
+		return out, err
 	}
-	c.count("solve.cold")
-	res, err := core.SolveContext(ctx, p.compiled, core.Options{
-		Metrics: c.opt.Metrics,
-		Fault:   c.opt.Fault,
-	})
+	// A fresh solve runs outside the lock and leaves the memo alone.
+	c.count("catalog.fresh_solves")
+	res, err := core.SolveContext(ctx, compiled, c.coreOptions(opt))
 	if err != nil {
-		return SolveResult{}, err
+		return out, err
 	}
-	p.solved = res.Assignment
-	p.solvedStats = res.Stats
-	return solveResult(p, false), nil
+	out.Assignment, out.Stats = FormatAssignment(out.Set, res.Assignment), res.Stats
+	return out, nil
 }
 
-// solveResult snapshots the memoized answer; caller holds at least the
-// shard's read lock.
-func solveResult(p *policy, hit bool) SolveResult {
-	out := SolveResult{
-		Info:       p.info(),
-		Assignment: make(map[string]string, p.set.NumAttrs()),
-		Stats:      p.solvedStats,
-		CacheHit:   hit,
+// coreOptions builds the solver options of one Solve call.
+func (c *Catalog) coreOptions(opt SolveOptions) core.Options {
+	o := core.Options{Metrics: c.opt.Metrics, Fault: c.opt.Fault, CollectLatticeOps: opt.LatticeOps}
+	if opt.Capture != nil {
+		o.Sink = opt.Capture.CaptureSink()
 	}
-	for _, a := range p.set.Attrs() {
-		out.Assignment[p.set.AttrName(a)] = p.lat.FormatLevel(p.solved[a])
+	return o
+}
+
+// solveResult snapshots the policy's memoized answer, a cache hit when
+// there is one; caller holds at least the shard's read lock.
+func solveResult(p *policy) SolveResult {
+	res := SolveResult{Info: p.info(), Stats: p.solvedStats, CacheHit: p.solved != nil, Set: p.set, Memo: p.solved}
+	if p.solved != nil {
+		res.Assignment = FormatAssignment(p.set, p.solved)
+	}
+	return res
+}
+
+// FormatAssignment renders an assignment over set as attribute name →
+// formatted level name.
+func FormatAssignment(set *constraint.Set, m constraint.Assignment) map[string]string {
+	lat := set.Lattice()
+	out := make(map[string]string, set.NumAttrs())
+	for _, a := range set.Attrs() {
+		out[set.AttrName(a)] = lat.FormatLevel(m[a])
 	}
 	return out
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"minup/internal/fault"
 	"minup/internal/obs"
 	"minup/internal/wal"
 )
@@ -351,5 +352,75 @@ func TestSnapshotCompaction(t *testing.T) {
 	// And the catalog must still append correctly past the stale tail.
 	if inf, err := c3.Put(ctx, "d", testLattice, testCons, MustNotExist); err != nil || inf.Version != 1 {
 		t.Fatalf("post-crash-window Put = %+v, %v", inf, err)
+	}
+}
+
+// countingSink counts solver events, standing in for a flight capture.
+type countingSink struct{ sinks, events int }
+
+func (s *countingSink) CaptureSink() obs.EventSink { s.sinks++; return s }
+func (s *countingSink) Event(obs.Event)            { s.events++ }
+
+// TestSolveOptions pins the three Solve modes: a cache-only lookup never
+// solves, a fresh solve never writes the memo, and a memo hit never asks
+// for a capture sink.
+func TestSolveOptions(t *testing.T) {
+	reg := obs.NewRegistry()
+	// The first compile — the async refresh's — fails, so the memo stays
+	// cold until a read fills it.
+	inj, err := fault.ParseSpec("catalog.compile:cancel:1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := mustOpen(t, Options{Metrics: reg, Fault: inj})
+	ctx := context.Background()
+	if _, err := c.Put(ctx, "hr", testLattice, testCons, MustNotExist); err != nil {
+		t.Fatal(err)
+	}
+	mustFlush(t, c)
+
+	res, err := c.Solve(ctx, "hr", SolveOptions{CacheOnly: true})
+	if err != nil || res.Assignment != nil || res.CacheHit || res.Memo != nil || res.Set == nil || res.Info.Version != 1 {
+		t.Fatalf("cache-only on a cold memo = %+v, %v; want Info and Set only", res, err)
+	}
+
+	sink := &countingSink{}
+	res, err = c.Solve(ctx, "hr", SolveOptions{Fresh: true, Capture: sink, LatticeOps: true})
+	if err != nil || res.CacheHit || res.Assignment["salary"] != "S" {
+		t.Fatalf("fresh solve = %+v, %v", res, err)
+	}
+	if sink.sinks != 1 || sink.events == 0 || res.Stats.LatticeOps.Lub == 0 {
+		t.Fatalf("fresh solve: %d sinks, %d events, lattice ops %+v", sink.sinks, sink.events, res.Stats.LatticeOps)
+	}
+	if info, _ := c.Get("hr"); info.Solved || !info.Compiled {
+		t.Fatalf("after a fresh solve: %+v, want compiled but no memo", info)
+	}
+
+	// A plain solve fills the memo; a memo hit then asks for no sink, and
+	// a fresh solve reports the memo next to its own answer.
+	if res, err := c.Solve(ctx, "hr", SolveOptions{Capture: sink}); err != nil || res.CacheHit || sink.sinks != 2 {
+		t.Fatalf("cold solve = %+v, %v (%d sinks)", res, err, sink.sinks)
+	}
+	if res, err := c.Solve(ctx, "hr", SolveOptions{Capture: sink}); err != nil || !res.CacheHit || res.Memo == nil || sink.sinks != 2 {
+		t.Fatalf("memo hit = %+v, %v (%d sinks)", res, err, sink.sinks)
+	}
+	if res, err := c.Solve(ctx, "hr", SolveOptions{Fresh: true}); err != nil || res.CacheHit || res.Memo == nil {
+		t.Fatalf("fresh solve over a warm memo = %+v, %v", res, err)
+	}
+	snap := reg.Snapshot()
+	if snap.Counters["catalog.fresh_solves"] != 2 || snap.Counters["solve.cold"] != 1 || snap.Counters["catalog.compiles"] != 1 {
+		t.Fatalf("counters %v", snap.Counters)
+	}
+
+	// A solver failure still hands back the version's set, so callers can
+	// fall back to a baseline for the same version.
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	res, err = c.Solve(canceled, "hr", SolveOptions{Fresh: true})
+	if err == nil || res.Set == nil || res.Memo == nil {
+		t.Fatalf("canceled fresh solve = %+v, %v; want the error with Set and Memo", res, err)
+	}
+	if _, err := c.Solve(ctx, "nope", SolveOptions{CacheOnly: true}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("cache-only on an unknown name: %v", err)
 	}
 }

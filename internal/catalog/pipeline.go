@@ -547,12 +547,7 @@ func (c *Catalog) Flush(ctx context.Context) error {
 }
 
 // pendingAdd moves the in-flight refresh count and its gauge.
-func (c *Catalog) pendingAdd(d int) {
-	n := c.pending.add(d)
-	if c.opt.Metrics != nil {
-		c.opt.Metrics.Gauge("catalog.refresh.pending").Set(int64(n))
-	}
-}
+func (c *Catalog) pendingAdd(d int) { c.pending.add(d, c.opt.Metrics) }
 
 // pendingTracker counts in-flight refreshes and lets Flush wait for zero.
 // Not a sync.WaitGroup: Add after Wait-at-zero is racy there, while here
@@ -563,17 +558,22 @@ type pendingTracker struct {
 	waiters []chan struct{}
 }
 
-func (t *pendingTracker) add(d int) int {
+// add moves the count and, when reg is non-nil, its gauge. The gauge is
+// set under the lock: set outside it, racing adds could publish their
+// counts out of order and leave a stale nonzero value after a drain.
+func (t *pendingTracker) add(d int, reg *obs.Registry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.n += d
+	if reg != nil {
+		reg.Gauge("catalog.refresh.pending").Set(int64(t.n))
+	}
 	if t.n == 0 {
 		for _, w := range t.waiters {
 			close(w)
 		}
 		t.waiters = nil
 	}
-	return t.n
 }
 
 func (t *pendingTracker) wait(ctx context.Context) error {

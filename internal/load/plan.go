@@ -1,8 +1,8 @@
 // Package load is the staged load-test harness behind cmd/minload: a plan
 // of stages (ramp → storm → soak, plus chaos stages that arm server-side
 // fault injection), each driving a mixed workload — catalog mutations from
-// seeded workload.MutationStreams, cached policy solves, cold solves of
-// the static instance, and trace requests — from many concurrent clients
+// seeded workload.MutationStreams, cached policy solves, fresh solves of
+// the static policy, and trace requests — from many concurrent clients
 // against a running minupd.
 //
 // Each stage records client-side latency histograms (obs.Histogram) and
@@ -40,12 +40,13 @@ type Mix struct {
 	// CachedSolve asks for a policy the client already created — the
 	// memoized serve path, the hot path at scale.
 	CachedSolve float64 `json:"cached_solve"`
-	// ColdSolve solves the server's static instance (/solve), which runs
-	// the full compiled solver on every request. On a catalog-only server
-	// these fall back to cached solves.
+	// ColdSolve solves the server's static policy through /solve, the
+	// policy-route alias that runs the full compiled solver on every
+	// request and never reads the memo. On a server without a static
+	// policy (/solve answers 404) these fall back to cached solves.
 	ColdSolve float64 `json:"cold_solve"`
-	// Trace requests a fully instrumented solve (/trace), the most
-	// expensive read. Falls back like ColdSolve on catalog-only servers.
+	// Trace requests a fully instrumented fresh solve of the static policy
+	// (/trace), the most expensive read. Falls back like ColdSolve.
 	Trace float64 `json:"trace"`
 	// Problem posts a seeded problem-frontend instance (alternating
 	// suppress / depinf) to /problems/{family}, exercising the

@@ -181,7 +181,7 @@ func (c *client) markDead(name string) {
 }
 
 // pickOp draws a request kind from the stage mix, resolving fallbacks: no
-// static instance turns cold/trace draws into cached solves, no /problems
+// static policy turns cold/trace draws into cached solves, no /problems
 // routes turn problem draws into mutations, and a cached draw with no live
 // policy becomes a mutation (whose stream is guaranteed to start with a
 // put).
@@ -377,8 +377,8 @@ func (r *Runner) Run(ctx context.Context, plan Plan) (*Report, error) {
 }
 
 // preflight verifies every target is alive and discovers which optional
-// surfaces exist: the static /solve instance (decides cold-solve/trace
-// fallbacks) and the /problems frontend routes (decides the problem-op
+// surfaces exist: the static policy behind /solve, which answers 404
+// without one (decides cold-solve/trace fallbacks) and the /problems frontend routes (decides the problem-op
 // fallback), then ranks the targets for read traffic.
 func (r *Runner) preflight(ctx context.Context) error {
 	ctx, cancel := context.WithTimeout(ctx, r.RequestTimeout)
@@ -408,7 +408,7 @@ func (r *Runner) preflight(ctx context.Context) error {
 	drain(resp)
 	r.hasStatic = resp.StatusCode != http.StatusNotFound
 	if !r.hasStatic {
-		r.logf("target has no static instance; cold-solve and trace draws fall back to cached solves")
+		r.logf("target has no static policy; cold-solve and trace draws fall back to cached solves")
 	}
 	req, err = http.NewRequestWithContext(ctx, http.MethodGet, r.BaseURL+"/problems", nil)
 	if err != nil {
