@@ -49,9 +49,11 @@
 //	                                    shard worker repairs in background
 //	GET    /policies/{name}/solve       minimal classification, memoized:
 //	                                    an unchanged policy is served with
-//	                                    zero compiles and zero solves
-//	                                    (POST works too; ?trace=1 and
-//	                                    ?lattice_ops=1 force a fresh solve)
+//	                                    zero compiles and zero solves, as
+//	                                    the bytes its version's first hit
+//	                                    rendered (POST works too; ?trace=1
+//	                                    and ?lattice_ops=1 force a fresh
+//	                                    solve)
 //
 // Source problems from the registered problem frontends enter through the
 // /problems routes: the instance JSON is parsed and compiled to policy
@@ -601,23 +603,6 @@ func (s *server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// solveStats is the JSON shape of the solver's stats block.
-type solveStats struct {
-	Tries          int    `json:"tries"`
-	FailedTries    int    `json:"failed_tries"`
-	Collapses      int    `json:"collapses"`
-	AttrsProcessed int    `json:"attrs_processed"`
-	MinlevelCalls  int    `json:"minlevel_calls"`
-	TrySteps       int    `json:"try_steps"`
-	DescentSteps   int    `json:"descent_steps"`
-	LatticeLub     uint64 `json:"lattice_lub,omitempty"`
-	LatticeGlb     uint64 `json:"lattice_glb,omitempty"`
-	LatticeDom     uint64 `json:"lattice_dominates,omitempty"`
-	LatticeCovers  uint64 `json:"lattice_covers,omitempty"`
-	PoolHit        bool   `json:"pool_hit"`
-	DurationUS     int64  `json:"duration_us"`
-}
-
 // solveBudget resolves the request's solve deadline: the -solve-timeout
 // flag, tightened by ?timeout_ms= and clamped to [1ms, flag] so a client
 // can only shrink its own budget, never grow it past the server's policy.
@@ -643,10 +628,15 @@ func solveTimedOut(err error) bool {
 	return errors.Is(err, core.ErrCanceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
+// jsonContentType is the Content-Type header value of every JSON answer,
+// shared so a pre-rendered memo hit sets it without allocating.
+var jsonContentType = []string{"application/json"}
+
 // writeJSON answers with v as indented JSON under the given status: the
-// one response encoder of every JSON route.
+// one response encoder of every JSON route. (A memo hit writes the
+// catalog's pre-rendered bytes of the same encoding instead.)
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

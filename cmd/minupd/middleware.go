@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime/debug"
+	"sync/atomic"
 	"time"
 
 	"minup/internal/obs"
@@ -86,17 +87,21 @@ func newRequestID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// statusClass maps a status code to its counter suffix ("2xx", ...).
-func statusClass(code int) string {
+// statusClasses are the status-class counter suffixes, indexed by
+// statusClass.
+var statusClasses = [...]string{"2xx", "3xx", "4xx", "5xx"}
+
+// statusClass maps a status code to its index in statusClasses.
+func statusClass(code int) int {
 	switch {
 	case code >= 500:
-		return "5xx"
+		return 3
 	case code >= 400:
-		return "4xx"
+		return 2
 	case code >= 300:
-		return "3xx"
+		return 1
 	default:
-		return "2xx"
+		return 0
 	}
 }
 
@@ -136,7 +141,12 @@ func instrument(route string, o httpObs, next http.HandlerFunc) http.Handler {
 // metric registration is get-or-create, so the series are shared too.
 func instrumentMethods(route string, o httpObs, next http.HandlerFunc) http.Handler {
 	hist := o.reg.Histogram("http."+route+".duration_us", obs.DurationBucketsUS)
-	o.reg.Counter("http." + route + ".status.2xx")
+	// Status-class counters, cached so a request neither builds a counter
+	// name nor takes the registry lock. Only 2xx registers eagerly; the
+	// other classes register on the route's first answer in them, so a
+	// scrape lists only the classes a route has answered.
+	var status [len(statusClasses)]atomic.Pointer[obs.Counter]
+	status[0].Store(o.reg.Counter("http." + route + ".status.2xx"))
 	inFlight := o.reg.Gauge("http.in_flight")
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ri := &requestInfo{id: r.Header.Get("X-Request-Id")}
@@ -188,7 +198,13 @@ func instrumentMethods(route string, o httpObs, next http.HandlerFunc) http.Hand
 				sw.status = http.StatusOK
 			}
 			hist.Observe(uint64(dur.Microseconds()))
-			o.reg.Counter("http." + route + ".status." + statusClass(sw.status)).Inc()
+			class := statusClass(sw.status)
+			counter := status[class].Load()
+			if counter == nil {
+				counter = o.reg.Counter("http." + route + ".status." + statusClasses[class])
+				status[class].Store(counter)
+			}
+			counter.Inc()
 			if ri.flight != nil {
 				o.flight.End(ri.flight, obs.FlightRecord{
 					Status:        sw.status,
@@ -212,7 +228,7 @@ func instrumentMethods(route string, o httpObs, next http.HandlerFunc) http.Hand
 				// for.
 				o.slo.Record(route, dur, sw.status >= 500 || ri.degraded)
 			}
-			attrs := []any{
+			attrs := [9]slog.Attr{
 				slog.String("method", r.Method),
 				slog.String("path", r.URL.Path),
 				slog.Int("status", sw.status),
@@ -222,10 +238,12 @@ func instrumentMethods(route string, o httpObs, next http.HandlerFunc) http.Hand
 				slog.Bool("degraded", ri.degraded),
 				slog.Int64("queue_wait_us", ri.queueWait.Microseconds()),
 			}
+			n := 8
 			if ri.traceID != "" {
-				attrs = append(attrs, slog.String("trace_id", ri.traceID))
+				attrs[n] = slog.String("trace_id", ri.traceID)
+				n++
 			}
-			o.logger.Info("request", attrs...)
+			o.logger.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs[:n]...)
 		}()
 		next(sw, r.WithContext(context.WithValue(r.Context(), requestInfoKey{}, ri)))
 	})

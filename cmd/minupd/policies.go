@@ -75,14 +75,12 @@ type policyAppendResponse struct {
 }
 
 // policySolveResponse is the JSON answer of GET/POST /policies/{name}/solve
-// and of its /solve alias.
+// and of its /solve alias. A memo hit is written as the catalog's rendered
+// Answer bytes, which are exactly this shape's encoding with the optional
+// fields absent.
 type policySolveResponse struct {
-	Name       string            `json:"name"`
-	Version    uint64            `json:"version"`
-	CacheHit   bool              `json:"cache_hit"`
-	Assignment map[string]string `json:"assignment"`
-	Stats      solveStats        `json:"stats"`
-	TraceID    string            `json:"trace_id,omitempty"`
+	catalog.Answer
+	TraceID string `json:"trace_id,omitempty"`
 
 	// A degraded answer comes from the Qian baseline: it satisfies every
 	// constraint but over-classifies. DegradeReason is "deadline" or
@@ -94,9 +92,6 @@ type policySolveResponse struct {
 	UpgradedAttrs int    `json:"upgraded_attrs,omitempty"`
 	UpgradeDelta  *int   `json:"upgrade_delta,omitempty"`
 }
-
-// etag formats a policy version as a strong entity tag.
-func etag(version uint64) string { return `"` + strconv.FormatUint(version, 10) + `"` }
 
 // mutateOptionsFrom reads the ?wait=1 query knob: wait forces the solver
 // refresh to run inline on this request instead of a shard worker.
@@ -125,7 +120,7 @@ func preconditionFrom(r *http.Request) (int64, error) {
 	}
 	v, err := strconv.ParseUint(strings.Trim(im, `"`), 10, 63)
 	if err != nil || v == 0 {
-		return 0, fmt.Errorf("malformed If-Match %q: want a version ETag like %q", im, etag(3))
+		return 0, fmt.Errorf("malformed If-Match %q: want a version ETag like %q", im, catalog.ETag(3))
 	}
 	return int64(v), nil
 }
@@ -231,7 +226,7 @@ func (s *server) storePolicy(w http.ResponseWriter, r *http.Request, q url.Value
 	if !s.clusterBarrier(r.Context(), w, r, info.Shard, seq) {
 		return info, 0, false
 	}
-	w.Header().Set("ETag", etag(info.Version))
+	w.Header().Set("ETag", catalog.ETag(info.Version))
 	if info.Version == 1 {
 		return info, http.StatusCreated, true
 	}
@@ -242,7 +237,7 @@ func (s *server) handlePolicyList(w http.ResponseWriter, _ *http.Request) {
 	infos := s.cat.List()
 	entries := make([]policyIndexEntry, len(infos))
 	for i, info := range infos {
-		entries[i] = policyIndexEntry{PolicyInfo: info, ETag: etag(info.Version)}
+		entries[i] = policyIndexEntry{PolicyInfo: info, ETag: catalog.ETag(info.Version)}
 	}
 	writeJSON(w, http.StatusOK, policyListResponse{Count: len(entries), Policies: entries})
 }
@@ -253,7 +248,7 @@ func (s *server) handlePolicyGet(w http.ResponseWriter, r *http.Request) {
 		s.policyError(w, r, err)
 		return
 	}
-	w.Header().Set("ETag", etag(info.Version))
+	w.Header().Set("ETag", catalog.ETag(info.Version))
 	writeJSON(w, http.StatusOK, info)
 }
 
@@ -340,7 +335,7 @@ func (s *server) handlePolicyAppend(w http.ResponseWriter, r *http.Request) {
 	if !s.clusterBarrier(r.Context(), w, r, res.Info.Shard, seq) {
 		return
 	}
-	w.Header().Set("ETag", etag(res.Info.Version))
+	w.Header().Set("ETag", catalog.ETag(res.Info.Version))
 	writeJSON(w, http.StatusOK, policyAppendResponse{
 		PolicyInfo:       res.Info,
 		Repaired:         res.Repaired,
@@ -361,7 +356,8 @@ const (
 )
 
 // solvePolicy is minupd's one solve-serving path. Behind the admission
-// gate it answers from the catalog: a memo hit costs no solve, while a
+// gate it answers from the catalog: a memo hit costs no solve and is
+// written as the bytes the catalog rendered for its version, while a
 // fresh solve (the aliases, ?trace=1, ?lattice_ops=1) runs in full and
 // leaves the memo alone. Unless degradation is off, a request past the
 // gate's soft overload threshold that the memo cannot answer, and a solve
@@ -430,14 +426,23 @@ func (s *server) solvePolicy(w http.ResponseWriter, r *http.Request, name string
 			writeTrace(w, q.Get("format"), traceID, root)
 			return
 		}
-		w.Header().Set("ETag", etag(res.Info.Version))
+		if res.Body != nil {
+			w.Header()["Content-Type"] = jsonContentType
+			w.Header().Set("ETag", res.ETag)
+			w.WriteHeader(http.StatusOK)
+			w.Write(res.Body)
+			return
+		}
+		w.Header().Set("ETag", catalog.ETag(res.Info.Version))
 		writeJSON(w, http.StatusOK, policySolveResponse{
-			Name:       res.Info.Name,
-			Version:    res.Info.Version,
-			CacheHit:   res.CacheHit,
-			Assignment: res.Assignment,
-			Stats:      newSolveStats(res.Stats),
-			TraceID:    traceID,
+			Answer: catalog.Answer{
+				Name:       res.Info.Name,
+				Version:    res.Info.Version,
+				CacheHit:   res.CacheHit,
+				Assignment: res.Assignment,
+				Stats:      catalog.NewAnswerStats(res.Stats),
+			},
+			TraceID: traceID,
 		})
 	}
 }
@@ -469,9 +474,11 @@ func (s *server) serveDegraded(w http.ResponseWriter, r *http.Request, res catal
 		ri.degraded, ri.degradeReason = true, reason
 	}
 	out := policySolveResponse{
-		Name:          res.Info.Name,
-		Version:       res.Info.Version,
-		Assignment:    catalog.FormatAssignment(res.Set, m),
+		Answer: catalog.Answer{
+			Name:       res.Info.Name,
+			Version:    res.Info.Version,
+			Assignment: catalog.FormatAssignment(res.Set, m),
+		},
 		Degraded:      true,
 		DegradeReason: reason,
 		UpgradedAttrs: baseline.CountUpgraded(res.Set, m),
@@ -483,23 +490,4 @@ func (s *server) serveDegraded(w http.ResponseWriter, r *http.Request, res catal
 	}
 	out.Stats.DurationUS = time.Since(start).Microseconds()
 	writeJSON(w, http.StatusOK, out)
-}
-
-// newSolveStats maps the solver's stats block to its JSON shape.
-func newSolveStats(st core.Stats) solveStats {
-	return solveStats{
-		Tries:          st.Tries,
-		FailedTries:    st.FailedTries,
-		Collapses:      st.Collapses,
-		AttrsProcessed: st.AttrsProcessed,
-		MinlevelCalls:  st.MinlevelCalls,
-		TrySteps:       st.TrySteps,
-		DescentSteps:   st.DescentSteps,
-		LatticeLub:     st.LatticeOps.Lub,
-		LatticeGlb:     st.LatticeOps.Glb,
-		LatticeDom:     st.LatticeOps.Dominates,
-		LatticeCovers:  st.LatticeOps.Covers,
-		PoolHit:        st.PoolHit,
-		DurationUS:     st.Duration.Microseconds(),
-	}
 }

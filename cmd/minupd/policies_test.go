@@ -18,7 +18,7 @@ const (
 
 // policyReq performs one request against the handler with an optional JSON
 // body built from a policyRequest and optional conditional headers.
-func policyReq(t *testing.T, h http.Handler, method, path string, body *policyRequest, hdr map[string]string) *httptest.ResponseRecorder {
+func policyReq(t testing.TB, h http.Handler, method, path string, body *policyRequest, hdr map[string]string) *httptest.ResponseRecorder {
 	t.Helper()
 	var rd *strings.Reader
 	if body != nil {

@@ -138,7 +138,7 @@ func TestPolicySolveColdDegradesOnDeadline(t *testing.T) {
 	}
 }
 
-func latticeOps(st solveStats) uint64 {
+func latticeOps(st catalog.AnswerStats) uint64 {
 	return st.LatticeLub + st.LatticeGlb + st.LatticeDom + st.LatticeCovers
 }
 

@@ -186,11 +186,10 @@ type policy struct {
 	lat         lattice.Lattice
 	set         *constraint.Set
 	// compiled is the one snapshot of the current version, built lazily or
-	// by the refresh worker; solved memoizes the minimal solution (and its
-	// stats) for the current version. Both are dropped on every mutation.
-	compiled    *constraint.Compiled
-	solved      constraint.Assignment
-	solvedStats core.Stats
+	// by the refresh worker; memo is the current version's memoized answer.
+	// Both are dropped on every mutation.
+	compiled *constraint.Compiled
+	memo     *memo
 }
 
 // shard is one hash partition: its own policies, its own Store, its own
@@ -577,8 +576,7 @@ func (s *shard) applyAppend(name, constraintsText string) error {
 	p.consTexts = append(p.consTexts, constraintsText)
 	p.version++
 	p.compiled = nil
-	p.solved = nil
-	p.solvedStats = core.Stats{}
+	p.memo = nil
 	return nil
 }
 
@@ -759,7 +757,7 @@ func (p *policy) info() PolicyInfo {
 		UpperBounds:    len(p.set.UpperBounds()),
 		Shard:          p.shard,
 		Compiled:       p.compiled != nil,
-		Solved:         p.solved != nil,
+		Solved:         p.memo != nil,
 		Lattice:        p.latticeText,
 		ConstraintText: strings.Join(p.consTexts, "\n"),
 	}
@@ -841,6 +839,12 @@ type SolveResult struct {
 	// CacheHit reports that the answer came from the memoized cache: zero
 	// compiles and zero solves were performed by this call.
 	CacheHit bool
+	// Body and ETag are set on cache hits only: the hit's Answer as
+	// indented JSON plus a newline, and the version's entity tag. The
+	// version renders them on its first hit; every later hit shares them,
+	// so the bytes must not be modified.
+	Body []byte
+	ETag string
 	// Set is the version's constraint set and Memo its memoized minimal
 	// solution (nil while cold). Both are immutable once installed, so a
 	// caller may, say, run the Qian baseline on the same version.
@@ -867,14 +871,15 @@ type SolveOptions struct {
 // Solve returns the minimal classification for the policy's current
 // version. Warm policies are served from the memoized cache
 // ("catalog.cache_hits") under only the shard's read lock, with no compile
-// and no solve; a cold version — the refresh pipeline hasn't caught up, or
-// its event was dropped — is filled here under the shard's write lock,
-// compiling the snapshot (at most once per version, "catalog.compiles",
-// fault point "catalog.compile") and running one cold solve ("solve.cold",
-// "catalog.cache_misses"), then memoizing. SolveOptions asks for a fresh
-// solve ("catalog.fresh_solves") or a cache-only lookup instead. A solver
-// error comes back with the version's Info, Set and Memo, so the caller
-// can fall back to a baseline answer.
+// and no solve; the version's first hit renders the answer (SolveResult.Body)
+// that every later hit shares. A cold version — the refresh pipeline hasn't
+// caught up, or its event was dropped — is filled here under the shard's
+// write lock, compiling the snapshot (at most once per version,
+// "catalog.compiles", fault point "catalog.compile") and running one cold
+// solve ("solve.cold", "catalog.cache_misses"), then memoizing.
+// SolveOptions asks for a fresh solve ("catalog.fresh_solves") or a
+// cache-only lookup instead. A solver error comes back with the version's
+// Info, Set and Memo, so the caller can fall back to a baseline answer.
 func (c *Catalog) Solve(ctx context.Context, name string, opts ...SolveOptions) (SolveResult, error) {
 	var opt SolveOptions
 	if len(opts) > 0 {
@@ -884,10 +889,11 @@ func (c *Catalog) Solve(ctx context.Context, name string, opts ...SolveOptions) 
 	s := c.shardFor(name)
 	s.mu.RLock()
 	p := s.pol[name]
-	if p != nil && (opt.CacheOnly || p.solved != nil && !fresh) {
-		res := solveResult(p)
+	if p != nil && (opt.CacheOnly || p.memo != nil && !fresh) {
+		res, m := solveResult(p), p.memo
 		s.mu.RUnlock()
-		if res.CacheHit {
+		if m != nil {
+			res.fillHit(m)
 			c.count("catalog.cache_hits")
 		}
 		return res, nil
@@ -895,6 +901,7 @@ func (c *Catalog) Solve(ctx context.Context, name string, opts ...SolveOptions) 
 	s.mu.RUnlock()
 
 	var compiled *constraint.Compiled
+	var hit *memo
 	out, err := func() (SolveResult, error) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -904,8 +911,8 @@ func (c *Catalog) Solve(ctx context.Context, name string, opts ...SolveOptions) 
 		if p == nil {
 			return SolveResult{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 		}
-		if p.solved != nil && !fresh {
-			c.count("catalog.cache_hits")
+		if p.memo != nil && !fresh {
+			hit = p.memo
 			return solveResult(p), nil
 		}
 		if !fresh {
@@ -920,18 +927,24 @@ func (c *Catalog) Solve(ctx context.Context, name string, opts ...SolveOptions) 
 		}
 		if fresh {
 			compiled = p.compiled
-			return SolveResult{Info: p.info(), Set: p.set, Memo: p.solved}, nil
+			return SolveResult{Info: p.info(), Set: p.set, Memo: p.memo.solution()}, nil
 		}
 		c.count("solve.cold")
 		res, err := core.SolveContext(ctx, p.compiled, c.coreOptions(opt))
 		if err != nil {
 			return SolveResult{Info: p.info(), Set: p.set}, err
 		}
-		p.solved, p.solvedStats = res.Assignment, res.Stats
+		p.memo = &memo{assignment: res.Assignment, stats: res.Stats}
 		out := solveResult(p)
 		out.CacheHit = false
+		out.Assignment = FormatAssignment(p.set, res.Assignment)
 		return out, nil
 	}()
+	if hit != nil {
+		// Rendered outside the write lock, like a read-locked hit.
+		out.fillHit(hit)
+		c.count("catalog.cache_hits")
+	}
 	if compiled == nil || err != nil {
 		return out, err
 	}
@@ -954,14 +967,25 @@ func (c *Catalog) coreOptions(opt SolveOptions) core.Options {
 	return o
 }
 
-// solveResult snapshots the policy's memoized answer, a cache hit when
-// there is one; caller holds at least the shard's read lock.
+// solveResult snapshots the policy's identity, set and memo, a cache hit
+// when there is one; caller holds at least the shard's read lock. The hit's
+// shared answer is filled in by fillHit after the lock is released.
 func solveResult(p *policy) SolveResult {
-	res := SolveResult{Info: p.info(), Stats: p.solvedStats, CacheHit: p.solved != nil, Set: p.set, Memo: p.solved}
-	if p.solved != nil {
-		res.Assignment = FormatAssignment(p.set, p.solved)
+	res := SolveResult{Info: p.info(), Set: p.set}
+	if m := p.memo; m != nil {
+		res.Stats, res.CacheHit, res.Memo = m.stats, true, m.assignment
 	}
 	return res
+}
+
+// fillHit sets a cache hit's assignment and rendered answer from m, the
+// memo read together with res under the shard lock. The assignment map is
+// built per call rather than kept with the body: it costs a few
+// allocations whatever the attribute count, while keeping it would hold a
+// map per warm version in memory.
+func (res *SolveResult) fillHit(m *memo) {
+	h := m.rendered(res.Info.Name, res.Info.Version, res.Set)
+	res.Assignment, res.Body, res.ETag = FormatAssignment(res.Set, m.assignment), h.body, h.etag
 }
 
 // FormatAssignment renders an assignment over set as attribute name →

@@ -215,7 +215,7 @@ func (c *Catalog) Append(ctx context.Context, name, constraintsText string, ifVe
 		pol       *policy
 		lat       lattice.Lattice
 		seq       uint64
-		solved    constraint.Assignment
+		warm      *memo // the repaired version's memo, Wait appends only
 	)
 	// Locked section in a closure with a deferred unlock: an injected panic
 	// (chaos tests crash mid-append) must not leave the shard mutex held.
@@ -238,8 +238,7 @@ func (c *Catalog) Append(ctx context.Context, name, constraintsText string, ifVe
 			return fmt.Errorf("catalog: policy %q append: %w", name, err)
 		}
 
-		var solvedStats core.Stats
-		base = p.solved
+		base = p.memo.solution()
 		switch {
 		case opt.Wait && base != nil:
 			// Synchronous incremental path: extend the memoized solution
@@ -257,8 +256,7 @@ func (c *Catalog) Append(ctx context.Context, name, constraintsText string, ifVe
 			}
 			res.Repaired = true
 			res.Repair = *rstats
-			solved = repaired
-			solvedStats = rstats.Solve
+			warm = &memo{assignment: repaired, stats: rstats.Solve}
 			c.countRepair(rstats)
 		default:
 			// Async (or cold) path: the append must still be rejected
@@ -276,9 +274,8 @@ func (c *Catalog) Append(ctx context.Context, name, constraintsText string, ifVe
 		p.consTexts = append(p.consTexts, constraintsText)
 		p.version++
 		p.compiled = nil
-		p.solved = solved
-		p.solvedStats = solvedStats
-		if res.Repaired {
+		p.memo = warm
+		if warm != nil {
 			// The repair already warmed the solution inline; rebuild the
 			// compiled snapshot too, so the version doesn't report
 			// compiled:false forever (a solved cache never triggers the
@@ -307,7 +304,7 @@ func (c *Catalog) Append(ctx context.Context, name, constraintsText string, ifVe
 	c.bus.Publish(TopicMutations, MutationEvent{Op: "append", Name: name, Version: res.Info.Version, Shard: s.id, Seq: seq})
 	job := refreshJob{shard: s, pol: pol, name: name, version: res.Info.Version, lat: lat, set: ns, base: base, baseCount: baseCount}
 	switch {
-	case opt.Wait && solved == nil:
+	case opt.Wait && warm == nil:
 		// Wait append against a cold cache: warm it before returning.
 		c.runRefresh(ctx, job)
 		if cur, err := c.Get(name); err == nil && cur.Version == res.Info.Version {
@@ -527,8 +524,7 @@ func (c *Catalog) doRefresh(ctx context.Context, job refreshJob) (outcome, errTe
 		return "stale", ""
 	}
 	p.compiled = compiled
-	p.solved = solved
-	p.solvedStats = stats
+	p.memo = &memo{assignment: solved, stats: stats}
 	s.mu.Unlock()
 	c.count("catalog.refresh.completed")
 	c.bus.Publish(TopicRefreshed, RefreshEvent{Name: job.name, Version: job.version, Shard: s.id, Repaired: repaired})

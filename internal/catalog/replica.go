@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-
-	"minup/internal/core"
 )
 
 // This file is the catalog's follower-apply surface: what the cluster
@@ -108,7 +106,7 @@ func (c *Catalog) ApplyRecord(shardID int, payload []byte) (uint64, error) {
 			if err := ns.ParseString(rec.Constraints); err != nil {
 				return fmt.Errorf("catalog: replicated append %q: %w", rec.Name, err)
 			}
-			base, baseCount := p.solved, len(p.set.Constraints())
+			base, baseCount := p.memo.solution(), len(p.set.Constraints())
 			if err := c.appendReplicated(s, rec.Seq, payload); err != nil {
 				return err
 			}
@@ -116,8 +114,7 @@ func (c *Catalog) ApplyRecord(shardID int, payload []byte) (uint64, error) {
 			p.consTexts = append(p.consTexts, rec.Constraints)
 			p.version++
 			p.compiled = nil
-			p.solved = nil
-			p.solvedStats = core.Stats{}
+			p.memo = nil
 			job = refreshJob{shard: s, pol: p, name: rec.Name, version: p.version, lat: p.lat, set: ns, base: base, baseCount: baseCount}
 			ev = MutationEvent{Op: "append", Name: rec.Name, Version: p.version, Shard: s.id, Seq: rec.Seq}
 		case "delete":
