@@ -463,7 +463,7 @@ S >= rank
 // solveBenchSet builds the instance shared by BenchmarkSolveFresh and
 // BenchmarkSolveCompiled: a mid-sized cyclic set, the shape where repeated
 // solving of one policy is the realistic hot path.
-func solveBenchSet(b *testing.B) *ConstraintSet {
+func solveBenchSet(b testing.TB) *ConstraintSet {
 	b.Helper()
 	lat := MustChainLattice("mil", "U", "C", "S", "TS")
 	set, err := workload.Constraints(lat, workload.ConstraintSpec{
@@ -504,6 +504,25 @@ func BenchmarkSolveCompiled(b *testing.B) {
 		if _, err := SolveContext(ctx, compiled, Options{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestSolveAllocs gates BenchmarkSolveCompiled's allocation count: a
+// pooled solve of a compiled set allocates its Result and its assignment
+// and nothing else.
+func TestSolveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	compiled := Compile(solveBenchSet(t))
+	ctx := context.Background()
+	n := testing.AllocsPerRun(200, func() {
+		if _, err := SolveContext(ctx, compiled, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 2 {
+		t.Errorf("compiled solve: %v allocs, want at most 2", n)
 	}
 }
 

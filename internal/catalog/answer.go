@@ -87,10 +87,11 @@ type renderedHit struct {
 }
 
 // rendered returns the version's memo-hit answer, rendering it on first
-// use. name, version and set must be the policy's, read together with m
-// under the shard lock. Racing first hits may both render; the CAS keeps
-// one copy.
-func (m *memo) rendered(name string, version uint64, set *constraint.Set) *renderedHit {
+// use. name and version must be the policy's, read together with m under
+// the shard lock, and assignment m's assignment formatted by
+// FormatAssignment; it is read only when the answer is rendered. Racing
+// first hits may both render; the CAS keeps one copy.
+func (m *memo) rendered(name string, version uint64, assignment map[string]string) *renderedHit {
 	if r := m.hit.Load(); r != nil {
 		return r
 	}
@@ -98,7 +99,7 @@ func (m *memo) rendered(name string, version uint64, set *constraint.Set) *rende
 		Name:       name,
 		Version:    version,
 		CacheHit:   true,
-		Assignment: FormatAssignment(set, m.assignment),
+		Assignment: assignment,
 		Stats:      NewAnswerStats(m.stats),
 	}
 	out, err := json.MarshalIndent(ans, "", "  ")

@@ -748,18 +748,25 @@ type PolicyInfo struct {
 	ConstraintText string `json:"constraints_text,omitempty"`
 }
 
+// info describes the policy with its source texts.
 func (p *policy) info() PolicyInfo {
+	info := p.summary()
+	info.Lattice, info.ConstraintText = p.latticeText, strings.Join(p.consTexts, "\n")
+	return info
+}
+
+// summary describes the policy without its source texts, sparing the join
+// of every appended batch.
+func (p *policy) summary() PolicyInfo {
 	return PolicyInfo{
-		Name:           p.name,
-		Version:        p.version,
-		Attrs:          p.set.NumAttrs(),
-		Constraints:    len(p.set.Constraints()),
-		UpperBounds:    len(p.set.UpperBounds()),
-		Shard:          p.shard,
-		Compiled:       p.compiled != nil,
-		Solved:         p.memo != nil,
-		Lattice:        p.latticeText,
-		ConstraintText: strings.Join(p.consTexts, "\n"),
+		Name:        p.name,
+		Version:     p.version,
+		Attrs:       p.set.NumAttrs(),
+		Constraints: len(p.set.Constraints()),
+		UpperBounds: len(p.set.UpperBounds()),
+		Shard:       p.shard,
+		Compiled:    p.compiled != nil,
+		Solved:      p.memo != nil,
 	}
 }
 
@@ -809,9 +816,7 @@ func (c *Catalog) List() []PolicyInfo {
 	for _, s := range c.shards {
 		s.mu.RLock()
 		for _, p := range s.pol {
-			info := p.info()
-			info.Lattice, info.ConstraintText = "", ""
-			out = append(out, info)
+			out = append(out, p.summary())
 		}
 		s.mu.RUnlock()
 	}
@@ -829,6 +834,8 @@ func (c *Catalog) Bus() *bus.Bus { return c.bus }
 
 // SolveResult is the answer of Catalog.Solve.
 type SolveResult struct {
+	// Info describes the version. Its source texts (Lattice and
+	// ConstraintText) are left empty, as in List; Get returns them.
 	Info PolicyInfo
 	// Assignment maps attribute names to formatted level names (nil for a
 	// CacheOnly call that found no memoized answer).
@@ -927,12 +934,12 @@ func (c *Catalog) Solve(ctx context.Context, name string, opts ...SolveOptions) 
 		}
 		if fresh {
 			compiled = p.compiled
-			return SolveResult{Info: p.info(), Set: p.set, Memo: p.memo.solution()}, nil
+			return SolveResult{Info: p.summary(), Set: p.set, Memo: p.memo.solution()}, nil
 		}
 		c.count("solve.cold")
 		res, err := core.SolveContext(ctx, p.compiled, c.coreOptions(opt))
 		if err != nil {
-			return SolveResult{Info: p.info(), Set: p.set}, err
+			return SolveResult{Info: p.summary(), Set: p.set}, err
 		}
 		p.memo = &memo{assignment: res.Assignment, stats: res.Stats}
 		out := solveResult(p)
@@ -971,7 +978,7 @@ func (c *Catalog) coreOptions(opt SolveOptions) core.Options {
 // when there is one; caller holds at least the shard's read lock. The hit's
 // shared answer is filled in by fillHit after the lock is released.
 func solveResult(p *policy) SolveResult {
-	res := SolveResult{Info: p.info(), Set: p.set}
+	res := SolveResult{Info: p.summary(), Set: p.set}
 	if m := p.memo; m != nil {
 		res.Stats, res.CacheHit, res.Memo = m.stats, true, m.assignment
 	}
@@ -982,10 +989,12 @@ func solveResult(p *policy) SolveResult {
 // memo read together with res under the shard lock. The assignment map is
 // built per call rather than kept with the body: it costs a few
 // allocations whatever the attribute count, while keeping it would hold a
-// map per warm version in memory.
+// map per warm version in memory. The version's first hit renders its body
+// from the same map.
 func (res *SolveResult) fillHit(m *memo) {
-	h := m.rendered(res.Info.Name, res.Info.Version, res.Set)
-	res.Assignment, res.Body, res.ETag = FormatAssignment(res.Set, m.assignment), h.body, h.etag
+	res.Assignment = FormatAssignment(res.Set, m.assignment)
+	h := m.rendered(res.Info.Name, res.Info.Version, res.Assignment)
+	res.Body, res.ETag = h.body, h.etag
 }
 
 // FormatAssignment renders an assignment over set as attribute name →

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -422,5 +423,55 @@ func TestSolveOptions(t *testing.T) {
 	}
 	if _, err := c.Solve(ctx, "nope", SolveOptions{CacheOnly: true}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("cache-only on an unknown name: %v", err)
+	}
+}
+
+// TestSolveHitIgnoresAppendHistory checks that a warm Solve costs the same
+// whatever the policy's append history: its Info carries no source texts,
+// so a policy built by 256 appends allocates no more per hit than the same
+// policy stored by one Put.
+func TestSolveHitIgnoresAppendHistory(t *testing.T) {
+	c := mustOpen(t, Options{})
+	ctx := context.Background()
+	wait := MutateOptions{Wait: true}
+	base := "a0 >= C"
+	if _, err := c.Put(ctx, "appended", testLattice, base, Unconditional, wait); err != nil {
+		t.Fatal(err)
+	}
+	lines := []string{base}
+	for i := 0; i < 256; i++ {
+		line := "a" + strconv.Itoa(i+1) + " >= a" + strconv.Itoa(i)
+		if _, err := c.Append(ctx, "appended", line, Unconditional, wait); err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, line)
+	}
+	var whole bytes.Buffer
+	for _, l := range lines {
+		whole.WriteString(l + "\n")
+	}
+	if _, err := c.Put(ctx, "whole", testLattice, whole.String(), Unconditional, wait); err != nil {
+		t.Fatal(err)
+	}
+	allocs := map[string]float64{}
+	for _, name := range []string{"appended", "whole"} {
+		res, err := c.Solve(ctx, name) // renders the version's hit
+		if err != nil || !res.CacheHit {
+			t.Fatalf("%s: warm solve hit=%v err=%v", name, res.CacheHit, err)
+		}
+		if res.Info.Lattice != "" || res.Info.ConstraintText != "" {
+			t.Errorf("%s: Solve's Info carries source texts", name)
+		}
+		allocs[name] = testing.AllocsPerRun(100, func() {
+			if _, err := c.Solve(ctx, name); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs["appended"] > allocs["whole"] {
+		t.Errorf("warm Solve allocs: %v after 256 appends, %v for one Put", allocs["appended"], allocs["whole"])
+	}
+	if info, err := c.Get("appended"); err != nil || info.ConstraintText != strings.Join(lines, "\n") {
+		t.Errorf("Get(appended).ConstraintText = %q, %v", info.ConstraintText, err)
 	}
 }

@@ -305,3 +305,34 @@ func TestParseIntoReader(t *testing.T) {
 		t.Fatal("reader parse failed")
 	}
 }
+
+// TestParseLevelErrorsUnchanged pins the messages of the two level/attribute
+// collisions the parser reports, for tokens that are and are not already
+// declared attributes: the parser looks a token up as an attribute before
+// it tries to parse it as a level, and that order must not show.
+func TestParseLevelErrorsUnchanged(t *testing.T) {
+	l := chain4(t)
+	for _, tc := range []struct{ text, want string }{
+		{"lub(S, a) >= TS", `line 1: constraint "lub(S, a) >= TS": level "S" cannot appear inside lub(...) (levels belong on the right-hand side)`},
+		{"a >= S\nlub(a, S) >= TS", `line 2: constraint "lub(a, S) >= TS": level "S" cannot appear inside lub(...) (levels belong on the right-hand side)`},
+		{"attrs a S", `line 1: constraint: attribute name "S" collides with a level of lattice "mil"`},
+		{"a >= b\nlub(a, b) >= TS\nS >= TS", `line 3: constraint "S >= TS" relates two constants`},
+	} {
+		s := NewSet(l)
+		err := s.ParseString(tc.text)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("ParseString(%q) = %v, want %s", tc.text, err, tc.want)
+		}
+	}
+	s := NewSet(l)
+	if _, err := s.AddAttr("TS"); err == nil || err.Error() != `constraint: attribute name "TS" collides with a level of lattice "mil"` {
+		t.Errorf("AddAttr(TS) = %v", err)
+	}
+	// Declared attributes still resolve as attributes on every side.
+	if err := s.ParseString("a >= b\nlub(a, b) >= TS\nb >= a\nU >= a"); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(s.Constraints()); got != 3 || s.NumAttrs() != 2 || len(s.UpperBounds()) != 1 {
+		t.Errorf("parsed %d constraints over %d attrs, %d upper bounds", got, s.NumAttrs(), len(s.UpperBounds()))
+	}
+}

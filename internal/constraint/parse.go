@@ -21,7 +21,11 @@ import (
 //	Secret >= salary              §6 upper bound (lhs is a level)
 //
 // Tokens that parse as levels of the set's lattice are levels; all other
-// identifiers are attributes and are declared on first use.
+// identifiers are attributes and are declared on first use. A token is
+// looked up as a declared attribute before it is parsed as a level: AddAttr
+// refuses names that parse as levels and the lattice is immutable, so a
+// declared name is never a level, and the lookup spares the failed level
+// parse (and its error value) on every later use of an attribute.
 func (s *Set) ParseInto(r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
@@ -76,12 +80,14 @@ func (s *Set) parseConstraintLine(line string) error {
 			if tok == "" {
 				return fmt.Errorf("constraint %q has an empty lub member", line)
 			}
-			if _, err := s.lat.ParseLevel(tok); err == nil {
-				return fmt.Errorf("constraint %q: level %q cannot appear inside lub(...) (levels belong on the right-hand side)", line, tok)
-			}
-			a, err := s.AddAttr(tok)
-			if err != nil {
-				return err
+			a, known := s.index[tok]
+			if !known {
+				if _, err := s.lat.ParseLevel(tok); err == nil {
+					return fmt.Errorf("constraint %q: level %q cannot appear inside lub(...) (levels belong on the right-hand side)", line, tok)
+				}
+				if a, err = s.AddAttr(tok); err != nil {
+					return err
+				}
 			}
 			lhs = append(lhs, a)
 		}
@@ -89,22 +95,28 @@ func (s *Set) parseConstraintLine(line string) error {
 	}
 
 	// Simple lhs: a single attribute, or a level (§6 upper bound).
-	if lvl, err := s.lat.ParseLevel(lhsText); err == nil {
-		if rhs.IsLevel {
-			return fmt.Errorf("constraint %q relates two constants", line)
+	a, known := s.index[lhsText]
+	if !known {
+		if lvl, err := s.lat.ParseLevel(lhsText); err == nil {
+			if rhs.IsLevel {
+				return fmt.Errorf("constraint %q relates two constants", line)
+			}
+			return s.AddUpper(rhs.Attr, lvl)
 		}
-		return s.AddUpper(rhs.Attr, lvl)
-	}
-	a, err := s.AddAttr(lhsText)
-	if err != nil {
-		return err
+		if a, err = s.AddAttr(lhsText); err != nil {
+			return err
+		}
 	}
 	return s.Add([]Attr{a}, rhs)
 }
 
-// parseOperand interprets a token as a level of the lattice if possible,
-// and as an attribute (declared on first use) otherwise.
+// parseOperand interprets a token as a declared attribute, else as a level
+// of the lattice if possible, and else as an attribute declared on first
+// use.
 func (s *Set) parseOperand(tok string) (RHS, error) {
+	if a, ok := s.index[tok]; ok {
+		return AttrRHS(a), nil
+	}
 	if lvl, err := s.lat.ParseLevel(tok); err == nil {
 		return LevelRHS(lvl), nil
 	}

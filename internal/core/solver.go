@@ -29,11 +29,11 @@
 // over solving. They live in an immutable constraint.Compiled produced by
 // Set.Compile; SolveContext runs Algorithm 3.1 against such a snapshot.
 // All per-solve mutable state (the assignment, done flags, worklists, and
-// Try scratch maps) lives in a session recycled through a sync.Pool, so
-// repeated solves of the same compiled set are allocation-light and any
-// number of goroutines may solve the same snapshot concurrently. The
-// one-shot Solve(set, opt) remains as a compatibility shim that compiles a
-// snapshot and solves it.
+// Try's attribute-indexed scratch arrays) lives in a session recycled
+// through a sync.Pool, so a repeated solve of the same compiled set
+// allocates only its Result and assignment, and any number of goroutines
+// may solve the same snapshot concurrently. The one-shot Solve(set, opt)
+// remains as a compatibility shim that compiles a snapshot and solves it.
 //
 // # Observability
 //
@@ -49,6 +49,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"log/slog"
 	"runtime/debug"
@@ -224,18 +225,7 @@ func SolveContext(ctx context.Context, c *constraint.Compiled, opt Options) (res
 	}
 	start := time.Now()
 	sv = acquireSession(ctx, c, opt)
-	if c.HasUpperBounds() {
-		ub, conflicts := c.UpperBoundFixpoint()
-		if conflicts != nil {
-			err = &InconsistencyError{Conflicts: conflicts}
-		} else {
-			sv.start = ub
-			sv.eagerMinlevel = true
-		}
-	}
-	if err == nil {
-		err = sv.run()
-	}
+	err = sv.solve()
 	sv.stats.Duration = time.Since(start)
 	if ssink != nil {
 		ssink.close()
@@ -269,11 +259,11 @@ func MustSolve(s *constraint.Set, opt Options) *Result {
 
 // session carries the mutable state of one run of Algorithm 3.1 against a
 // compiled constraint set. Sessions are recycled through sessionPool:
-// scratch buffers (done flags, unlabeled counters, Try worklists and maps)
-// keep their capacity across solves, so a hot server solving the same
-// compiled set allocates little more than the result assignment per
-// request. A session is used by one goroutine at a time; concurrency comes
-// from acquiring one session per in-flight solve.
+// scratch buffers (done flags, unlabeled counters, Try's arrays and queue,
+// the DSet buffer) keep their capacity across solves, so a hot server
+// solving the same compiled set allocates only the Result and its
+// assignment per request. A session is used by one goroutine at a time;
+// concurrency comes from acquiring one session per in-flight solve.
 type session struct {
 	c   *constraint.Compiled
 	set *constraint.Set // read-only view, for formatting and traces
@@ -317,22 +307,33 @@ type session struct {
 	// cancellation polling.
 	ops int
 
-	// Scratch buffers reused across Try calls and across solves.
-	tocheck map[constraint.Attr]lattice.Level
-	tolower map[constraint.Attr]lattice.Level
-	queue   []constraint.Attr
-	inSet   map[constraint.Attr]bool // collapseSet scratch
-	emitBuf []constraint.Attr        // sorted-lower-event scratch (sink path only)
+	// Scratch reused across Try calls and across solves. Try's Tocheck
+	// and Tolower sets, and collapseSet's membership set, are dense
+	// attribute-indexed arrays: an entry is live only while its stamp
+	// equals epoch, and nextEpoch retires every entry at once, so no call
+	// clears or allocates them. Stamp 0 is never live, which also makes it
+	// the "deleted" mark.
+	epoch      uint32
+	checkLvl   []lattice.Level // Tocheck levels
+	checkStamp []uint32
+	lowerLvl   []lattice.Level // Tolower levels
+	lowerStamp []uint32
+	inSetStamp []uint32 // collapseSet membership
+	queue      []constraint.Attr
+	lowered    []lowering      // try's result, valid until the next try
+	dset       []lattice.Level // processAttr's DSet buffer
+}
+
+// lowering is one entry of Try's result: attr lowered to level.
+type lowering struct {
+	attr  constraint.Attr
+	level lattice.Level
 }
 
 var sessionPool = sync.Pool{
 	New: func() any {
 		sessionsAllocated.Add(1)
-		return &session{
-			tocheck: make(map[constraint.Attr]lattice.Level),
-			tolower: make(map[constraint.Attr]lattice.Level),
-			inSet:   make(map[constraint.Attr]bool),
-		}
+		return new(session)
 	},
 }
 
@@ -388,10 +389,16 @@ func combineSinks(a, b obs.EventSink) obs.EventSink {
 }
 
 // acquireSession checks a session out of the pool and points it at the
-// compiled set, resizing (not reallocating, when capacity allows) its
-// scratch buffers.
+// compiled set.
 func acquireSession(ctx context.Context, c *constraint.Compiled, opt Options) *session {
 	sv := sessionPool.Get().(*session)
+	sv.reset(ctx, c, opt)
+	return sv
+}
+
+// reset points the session at the compiled set, resizing (not
+// reallocating, when capacity allows) its scratch buffers.
+func (sv *session) reset(ctx context.Context, c *constraint.Compiled, opt Options) {
 	hit := sv.reused
 	sv.reused = true
 	sv.c = c
@@ -431,13 +438,17 @@ func acquireSession(ctx context.Context, c *constraint.Compiled, opt Options) *s
 	sv.sink = combineSinks(sv.sink, opt.Sink)
 	sv.lastFailure = -1
 	sv.ops = 0
-	sv.done = resizeBools(sv.done, c.NumAttrs())
-	sv.unlabeled = resizeInts(sv.unlabeled, len(sv.cons))
-	clear(sv.tocheck)
-	clear(sv.tolower)
-	sv.queue = sv.queue[:0]
-	clear(sv.inSet)
-	return sv
+	n := c.NumAttrs()
+	sv.done = resizeZeroed(sv.done, n)
+	sv.unlabeled = resizeZeroed(sv.unlabeled, len(sv.cons))
+	// The stamp arrays are not cleared: every stamp left by an earlier
+	// solve is below the current epoch, and an array grown here starts
+	// zeroed, so no stale entry can match a later epoch.
+	sv.checkLvl = resize(sv.checkLvl, n)
+	sv.checkStamp = resize(sv.checkStamp, n)
+	sv.lowerLvl = resize(sv.lowerLvl, n)
+	sv.lowerStamp = resize(sv.lowerStamp, n)
+	sv.inSetStamp = resize(sv.inSetStamp, n)
 }
 
 // release drops the session's references to the compiled set (so the pool
@@ -461,22 +472,35 @@ func (sv *session) release() {
 	sessionPool.Put(sv)
 }
 
-func resizeBools(b []bool, n int) []bool {
-	if cap(b) < n {
-		return make([]bool, n)
+// resize returns s with length n, reusing its capacity when it suffices.
+// Elements kept from s keep their old values.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	b = b[:n]
-	clear(b)
-	return b
+	return s[:n]
 }
 
-func resizeInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	s = s[:n]
+// resizeZeroed is resize with every element zeroed.
+func resizeZeroed[T any](s []T, n int) []T {
+	s = resize(s, n)
 	clear(s)
 	return s
+}
+
+// nextEpoch retires every Tocheck, Tolower and collapseSet entry by
+// advancing the epoch. On wraparound it zeroes the stamp arrays over their
+// whole capacity — a later resize may expose elements beyond the current
+// length — and restarts at 1, since 0 is the never-live stamp.
+func (sv *session) nextEpoch() uint32 {
+	sv.epoch++
+	if sv.epoch == 0 {
+		for _, st := range [][]uint32{sv.checkStamp, sv.lowerStamp, sv.inSetStamp} {
+			clear(st[:cap(st)])
+		}
+		sv.epoch = 1
+	}
+	return sv.epoch
 }
 
 // pollInterval is how many units of work pass between cancellation checks.
@@ -504,6 +528,20 @@ func (sv *session) emit(kind obs.EventKind, a constraint.Attr, l lattice.Level) 
 		scc = int32(sv.pr.Priority[a])
 	}
 	sv.sink.Event(obs.Event{Kind: kind, Attr: int32(a), Level: uint64(l), SCC: scc})
+}
+
+// solve runs Algorithm 3.1 on a reset session, first applying the §6
+// upper bounds when the compiled set has any.
+func (sv *session) solve() error {
+	if sv.c.HasUpperBounds() {
+		ub, conflicts := sv.c.UpperBoundFixpoint()
+		if conflicts != nil {
+			return &InconsistencyError{Conflicts: conflicts}
+		}
+		sv.start = ub
+		sv.eagerMinlevel = true
+	}
+	return sv.run()
 }
 
 // run executes Main's initialization plus BigLoop.
@@ -576,16 +614,15 @@ func (sv *session) collapseSet(nodes []int) (bool, error) {
 	// the minimal common level is the lub of every member's external
 	// requirements (internal right-hand sides contribute the same level
 	// and are skipped).
-	inSet := sv.inSet
-	clear(inSet)
+	epoch := sv.nextEpoch()
 	for _, node := range nodes {
-		inSet[constraint.Attr(node)] = true
+		sv.inSetStamp[node] = epoch
 	}
 	l := sv.lat.Bottom()
 	for _, node := range nodes {
 		for _, ci := range sv.constr[constraint.Attr(node)] {
 			c := sv.cons[ci]
-			if !c.RHS.IsLevel && inSet[c.RHS.Attr] {
+			if !c.RHS.IsLevel && sv.inSetStamp[c.RHS.Attr] == epoch {
 				continue
 			}
 			l = sv.lat.Lub(l, sv.set.RHSLevel(sv.lambda, c.RHS))
@@ -650,12 +687,13 @@ func (sv *session) processAttr(a constraint.Attr) error {
 		return nil
 	}
 	// Forward lowering through the cycle: try each maximal level between
-	// the lower bound l and the current level.
-	dset := lattice.CoversAbove(sv.lat, sv.lambda[a], l)
-	sv.stats.DescentSteps += len(dset)
-	for len(dset) > 0 {
-		cand := dset[0]
-		dset = dset[1:]
+	// the lower bound l and the current level. A successful try lowers a,
+	// so the DSet is refilled from the new level and walked from the start.
+	sv.dset = lattice.CoversAbove(sv.dset, sv.lat, sv.lambda[a], l)
+	sv.stats.DescentSteps += len(sv.dset)
+	for i := 0; i < len(sv.dset); {
+		cand := sv.dset[i]
+		i++
 		lower, ok, err := sv.try(a, cand)
 		if err != nil {
 			return err
@@ -669,28 +707,24 @@ func (sv *session) processAttr(a constraint.Attr) error {
 			continue
 		}
 		if sv.sink == nil {
-			for attr, lvl := range lower {
-				sv.lambda[attr] = lvl
+			for _, lw := range lower {
+				sv.lambda[lw.attr] = lw.level
 			}
 		} else {
 			// The try row first, then one lower event per propagated
 			// change (including a itself) so sinks see the deltas that
-			// belong to it. The map is iterated in sorted attribute order
-			// so instrumented runs (traces, goldens) are deterministic.
+			// belong to it, in attribute order so instrumented runs
+			// (traces, goldens) are deterministic.
 			sv.emit(obs.EventTry, a, cand)
-			sv.emitBuf = sv.emitBuf[:0]
-			for attr := range lower {
-				sv.emitBuf = append(sv.emitBuf, attr)
-			}
-			slices.Sort(sv.emitBuf)
-			for _, attr := range sv.emitBuf {
-				lvl := lower[attr]
-				sv.lambda[attr] = lvl
-				sv.emit(obs.EventLower, attr, lvl)
+			slices.SortFunc(lower, func(x, y lowering) int { return cmp.Compare(x.attr, y.attr) })
+			for _, lw := range lower {
+				sv.lambda[lw.attr] = lw.level
+				sv.emit(obs.EventLower, lw.attr, lw.level)
 			}
 		}
-		dset = lattice.CoversAbove(sv.lat, sv.lambda[a], l)
-		sv.stats.DescentSteps += len(dset)
+		sv.dset = lattice.CoversAbove(sv.dset, sv.lat, sv.lambda[a], l)
+		sv.stats.DescentSteps += len(sv.dset)
+		i = 0
 	}
 	sv.done[a] = true
 	if sv.sink != nil {
@@ -756,35 +790,39 @@ func (sv *session) minlevel(a constraint.Attr, c constraint.Constraint) lattice.
 }
 
 // try is the Try procedure of Figure 3. It returns the set of lowerings
-// (including a→l itself) that together with the current λ still satisfy
-// all constraints, or ok=false if lowering a to l transitively violates a
-// constraint whose right-hand side is already definitively labeled. λ is
-// not modified. A non-nil error reports cancellation.
-func (sv *session) try(a constraint.Attr, l lattice.Level) (map[constraint.Attr]lattice.Level, bool, error) {
+// (including a→l itself, each attribute once) that together with the
+// current λ still satisfy all constraints, or ok=false if lowering a to l
+// transitively violates a constraint whose right-hand side is already
+// definitively labeled. λ is not modified. The returned slice is owned by
+// the session and valid until the next try. A non-nil error reports
+// cancellation.
+func (sv *session) try(a constraint.Attr, l lattice.Level) ([]lowering, bool, error) {
 	if sv.fault != nil {
 		if err := sv.fault.Hit("solve.try"); err != nil {
 			return nil, false, err
 		}
 	}
 	sv.lastFailure = -1
-	tocheck := sv.tocheck
-	tolower := sv.tolower
-	clear(tocheck)
-	clear(tolower)
+	// Tocheck[x] is checkLvl[x] while checkStamp[x] == epoch, Tolower[x]
+	// likewise; bumping the epoch empties both.
+	epoch := sv.nextEpoch()
+	checkLvl, checkStamp := sv.checkLvl, sv.checkStamp
+	lowerLvl, lowerStamp := sv.lowerLvl, sv.lowerStamp
+	// The queue is popped by advancing head, so it still holds every
+	// attribute ever queued when the propagation ends.
 	queue := sv.queue[:0]
 
-	tocheck[a] = l
+	checkLvl[a], checkStamp[a] = l, epoch
 	queue = append(queue, a)
 
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		curLvl, pending := tocheck[cur]
-		if !pending {
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
+		if checkStamp[cur] != epoch {
 			continue // superseded entry
 		}
-		delete(tocheck, cur)
-		tolower[cur] = curLvl
+		curLvl := checkLvl[cur]
+		checkStamp[cur] = 0
+		lowerLvl[cur], lowerStamp[cur] = curLvl, epoch
 
 		for _, ci := range sv.constr[cur] {
 			c := sv.cons[ci]
@@ -803,8 +841,8 @@ func (sv *session) try(a constraint.Attr, l lattice.Level) (map[constraint.Attr]
 			// entries override λ.
 			level := sv.lat.Bottom()
 			for _, m := range c.LHS {
-				if lv, ok := tolower[m]; ok {
-					level = sv.lat.Lub(level, lv)
+				if lowerStamp[m] == epoch {
+					level = sv.lat.Lub(level, lowerLvl[m])
 				} else {
 					level = sv.lat.Lub(level, sv.lambda[m])
 				}
@@ -823,30 +861,36 @@ func (sv *session) try(a constraint.Attr, l lattice.Level) (map[constraint.Attr]
 			}
 			rhs := c.RHS.Attr
 			newlevel := sv.lat.Glb(rhsLvl, level)
-			if old, ok := tolower[rhs]; ok {
+			if lowerStamp[rhs] == epoch {
+				old := lowerLvl[rhs]
 				if sv.lat.Dominates(newlevel, old) {
 					continue // existing lowering already suffices
 				}
-				newlevel = sv.lat.Glb(old, newlevel)
-				delete(tolower, rhs)
-				tocheck[rhs] = newlevel
+				lowerStamp[rhs] = 0
+				checkLvl[rhs], checkStamp[rhs] = sv.lat.Glb(old, newlevel), epoch
 				queue = append(queue, rhs)
-			} else if old, ok := tocheck[rhs]; ok {
+			} else if checkStamp[rhs] == epoch {
+				old := checkLvl[rhs]
 				if sv.lat.Dominates(newlevel, old) {
 					continue
 				}
-				tocheck[rhs] = sv.lat.Glb(old, newlevel) // already queued
+				checkLvl[rhs] = sv.lat.Glb(old, newlevel) // already queued
 			} else {
-				tocheck[rhs] = newlevel
+				checkLvl[rhs], checkStamp[rhs] = newlevel, epoch
 				queue = append(queue, rhs)
 			}
 		}
 	}
-	sv.queue = queue[:0]
-	// Copy the result out: the scratch map is reused by the next call.
-	out := make(map[constraint.Attr]lattice.Level, len(tolower))
-	for k, v := range tolower {
-		out[k] = v
+	// Every Tolower entry was queued at least once; list each live one
+	// exactly once by retiring its stamp as it is copied out.
+	out := sv.lowered[:0]
+	for _, x := range queue {
+		if lowerStamp[x] == epoch {
+			out = append(out, lowering{x, lowerLvl[x]})
+			lowerStamp[x] = 0
+		}
 	}
+	sv.queue = queue[:0]
+	sv.lowered = out
 	return out, true, nil
 }

@@ -90,8 +90,8 @@ func ProbeMinimalityContext(ctx context.Context, c *constraint.Compiled, m const
 				continue
 			}
 			witness := m.Clone()
-			for attr, lvl := range lower {
-				witness[attr] = lvl
+			for _, lw := range lower {
+				witness[lw.attr] = lw.level
 			}
 			if viol := s.Violations(witness); viol != nil {
 				return false, nil, fmt.Errorf("core: internal error: probe produced a non-solution (%s)", viol[0])

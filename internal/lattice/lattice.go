@@ -131,19 +131,20 @@ func StrictlyDominates(l Lattice, a, b Level) bool {
 	return a != b && l.Dominates(a, b)
 }
 
-// CoversAbove returns the maximal levels l' with a ≻ l' ≽ lo — the DSet of
-// Algorithm 3.1's BigLoop and the Trylevels of Minlevel, restricted to stay
-// above the known lower bound lo. In a finite lattice these are exactly the
-// immediate descendants of a that dominate lo.
-func CoversAbove(l Lattice, a, lo Level) []Level {
-	covers := l.Covers(a)
-	out := make([]Level, 0, len(covers))
-	for _, c := range covers {
+// CoversAbove appends to dst[:0] the maximal levels l' with a ≻ l' ≽ lo —
+// the DSet of Algorithm 3.1's BigLoop, restricted to stay above the known
+// lower bound lo — and returns the extended slice. In a finite lattice these
+// are exactly the immediate descendants of a that dominate lo. Passing the
+// previous result back as dst reuses its buffer, so a caller refilling the
+// same buffer allocates only when it must grow.
+func CoversAbove(dst []Level, l Lattice, a, lo Level) []Level {
+	dst = dst[:0]
+	for _, c := range l.Covers(a) {
 		if l.Dominates(c, lo) {
-			out = append(out, c)
+			dst = append(dst, c)
 		}
 	}
-	return out
+	return dst
 }
 
 // Branching returns B, the maximum number of immediate predecessors

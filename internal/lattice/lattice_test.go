@@ -373,16 +373,26 @@ func TestNaiveOpsAgree(t *testing.T) {
 func TestCoversAbove(t *testing.T) {
 	l := FigureOneB()
 	lv := func(s string) Level { x, _ := l.ParseLevel(s); return x }
-	got := CoversAbove(l, lv("L6"), lv("L4"))
+	got := CoversAbove(nil, l, lv("L6"), lv("L4"))
 	if len(got) != 1 || got[0] != lv("L4") {
 		t.Errorf("CoversAbove(L6,L4) = %v", got)
 	}
-	got = CoversAbove(l, lv("L4"), l.Bottom())
-	if len(got) != 2 {
-		t.Errorf("CoversAbove(L4,⊥) = %v, want both covers", got)
+	// Refilling the previous result reuses its buffer and drops its
+	// old contents.
+	buf := CoversAbove(make([]Level, 0, 4), l, lv("L4"), l.Bottom())
+	if len(buf) != 2 {
+		t.Errorf("CoversAbove(L4,⊥) = %v, want both covers", buf)
 	}
-	if got := CoversAbove(l, lv("L1"), lv("L1")); len(got) != 0 {
+	p := &buf[0]
+	got = CoversAbove(buf, l, lv("L6"), lv("L4"))
+	if len(got) != 1 || got[0] != lv("L4") || &got[0] != p {
+		t.Errorf("CoversAbove(buf, L6,L4) = %v, want [L4] in the same buffer", got)
+	}
+	if got := CoversAbove(buf, l, lv("L1"), lv("L1")); len(got) != 0 {
 		t.Errorf("CoversAbove(L1,L1) = %v, want empty", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { buf = CoversAbove(buf, l, lv("L4"), l.Bottom()) }); n != 0 {
+		t.Errorf("CoversAbove into a large enough buffer: %v allocs, want 0", n)
 	}
 }
 

@@ -125,7 +125,7 @@ dump_dir="$(mktemp -d)"
   -flight-dump-dir "$dump_dir" \
   -fault 'solve.step:delay:%1:30ms' &
 pid2=$!
-trap 'kill "$pid" "$pid2" 2>/dev/null || true; rm -rf "$dump_dir"' EXIT INT TERM
+trap 'kill "$pid" "$pid2" 2>/dev/null || true; wait "$pid" "$pid2" 2>/dev/null || true; rm -rf "$dump_dir"' EXIT INT TERM
 
 i=0
 until curl -fsS "http://$addr2/healthz" >/dev/null 2>&1; do
@@ -211,7 +211,7 @@ echo "smoke: http_shed and solve_degraded counters ok (shed=$shed degraded=$degr
 data_dir="$(mktemp -d)"
 /tmp/minupd -addr "$addr3" -debug-addr "" -data-dir "$data_dir" -shards 2 &
 pid3=$!
-trap 'kill "$pid" "$pid2" "$pid3" 2>/dev/null || true; rm -rf "$data_dir" "$dump_dir"' EXIT INT TERM
+trap 'kill "$pid" "$pid2" "$pid3" 2>/dev/null || true; wait "$pid" "$pid2" "$pid3" 2>/dev/null || true; rm -rf "$data_dir" "$dump_dir"' EXIT INT TERM
 
 wait_healthy() {
   i=0
